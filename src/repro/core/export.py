@@ -15,19 +15,20 @@ tooling in three registered formats (:data:`FORMATS`):
   ``http.method``, ``http.route``, ``http.status_code``) documented in
   :data:`SPAN_ATTRIBUTE_CONVENTIONS`.
 
-The ``otlp-json`` form is round-trippable: :func:`decode_otlp_json`
-validates the full schema (raising :class:`OtlpDecodeError` on any
-deviation) and :func:`encode_decoded` re-encodes the decoded form to
-the byte-identical payload — export → decode → re-export is a fixed
-point, which the property tests in ``tests/test_otlp_roundtrip.py``
-enforce.  Pipeline self-metrics export through the matching
-``resourceMetrics`` shape (:func:`metrics_to_otlp_json`).
+``otlp-json`` is encoded in one pass, :class:`Span` to wire dicts, and
+round-trips: :func:`decode_otlp_json` validates the full schema (raising
+:class:`OtlpDecodeError` on any deviation) and its inverse
+:func:`encode_decoded` re-encodes the decoded form byte-identically —
+export → decode → re-export is a fixed point, which the property tests
+in ``tests/test_otlp_roundtrip.py`` enforce.  Pipeline self-metrics
+export as ``resourceMetrics`` (:func:`metrics_to_otlp_json`).
 """
 
 from __future__ import annotations
 
 import json
-import math
+from functools import lru_cache
+from math import isfinite
 from typing import Any, Callable, Optional
 
 from repro.core.metrics import PipelineMetrics
@@ -181,163 +182,175 @@ def trace_to_otlp(trace: Trace) -> list[dict[str, Any]]:
 
 def _span_kind(span: Span) -> str:
     """OTLP span kind: messaging sides map to producer/consumer."""
-    side = span.side
-    if span.protocol in MESSAGING_PROTOCOLS:
-        if side is SpanSide.CLIENT:
-            return "SPAN_KIND_PRODUCER"
-        if side is SpanSide.SERVER:
-            return "SPAN_KIND_CONSUMER"
-    if side is SpanSide.SERVER:
-        return "SPAN_KIND_SERVER"
-    if side is SpanSide.CLIENT:
-        return "SPAN_KIND_CLIENT"
+    messaging = span.protocol in MESSAGING_PROTOCOLS
+    if span.side is SpanSide.SERVER:
+        return "SPAN_KIND_CONSUMER" if messaging else "SPAN_KIND_SERVER"
+    if span.side is SpanSide.CLIENT:
+        return "SPAN_KIND_PRODUCER" if messaging else "SPAN_KIND_CLIENT"
     return "SPAN_KIND_INTERNAL"
 
 
-def _span_status(span: Span) -> tuple[str, Optional[str]]:
-    """(status code, optional message) per the OTLP status mapping."""
+def _span_status(span: Span) -> dict[str, str]:
+    """The OTLP ``status`` object (a message only on errors)."""
     if span.is_error:
-        message = str(span.tags.get("error.kind", "")) or "error"
-        return "STATUS_CODE_ERROR", message
-    if span.status:
-        return "STATUS_CODE_OK", None
-    return "STATUS_CODE_UNSET", None
+        return {"code": "STATUS_CODE_ERROR",
+                "message": str(span.tags.get("error.kind", "")) or "error"}
+    return {"code": "STATUS_CODE_OK" if span.status else "STATUS_CODE_UNSET"}
 
 
-def span_attribute_tuples(span: Span) -> list[tuple[str, str, Any]]:
-    """Typed ``(key, value_type, value)`` attributes for *span*.
+@lru_cache(maxsize=256)
+def _key_order(prefix: str, keys: tuple) -> Optional[tuple[tuple, ...]]:
+    """``(key, prefix + key)`` per key, ascending by prefixed key: the
+    order a tag or metric block exports in, memoized per key tuple (one
+    pod's spans carry the same keys in the same insertion order).
+    ``None`` when a key is not a plain ``str`` — ``(1,)`` and ``(True,)``
+    are one cache key but format differently, ``1`` and ``"1"`` format
+    alike — so that dict goes through :func:`_loose_key_order`."""
+    for key in keys:
+        if key.__class__ is not str:
+            return None
+    return tuple([(key, prefix + key) for key in sorted(keys)])
 
-    Every key is either an exact entry in
-    :data:`SPAN_ATTRIBUTE_CONVENTIONS` or namespaced under one of
-    :data:`SPAN_ATTRIBUTE_PREFIXES` — the convention the property test
-    locks down.  Sorted by key (the canonical encoding order).
+
+def _loose_key_order(prefix: str, mapping: dict,
+                     exported: Callable[[Any], Any]) -> list[tuple]:
+    """Uncached :func:`_key_order`: keys formatting alike order by value."""
+    return sorted(((key, f"{prefix}{key}") for key in mapping),
+                  key=lambda pair: (pair[1], exported(mapping[pair[0]])))
+
+
+def _span_attributes(span: Span) -> list[dict[str, Any]]:
+    """The OTLP KeyValue list of *span*, emitted in ascending key order.
+
+    The key space (:data:`SPAN_ATTRIBUTE_CONVENTIONS` and the
+    :data:`SPAN_ATTRIBUTE_PREFIXES` namespaces) is statically ordered —
+    ``deepflow.metric.*`` < ``deepflow.operation`` …
+    ``deepflow.status_code`` < ``deepflow.tag.*`` < ``http.*`` <
+    ``net.host.name`` < ``process.pid`` — so the statements below follow
+    it and only the two open-ended blocks consult :func:`_key_order`.
+    Int64 values are decimal strings; non-finite metrics are dropped.
     """
-    attrs: list[tuple[str, str, Any]] = []
-    if span.host:
-        attrs.append(("net.host.name", "string", span.host))
-    if span.pid:
-        attrs.append(("process.pid", "int", span.pid))
-    attrs.append(("deepflow.source", "string", span.kind.value))
-    attrs.append(("deepflow.side", "string", span.side.value))
-    if span.protocol:
-        attrs.append(("deepflow.protocol", "string", span.protocol))
-    http_family = span.protocol.startswith("http") \
-        or span.protocol == "grpc"
-    if http_family:
-        if span.operation:
-            attrs.append(("http.method", "string", span.operation))
-        if span.resource:
-            attrs.append(("http.route", "string", span.resource))
-        if span.status_code is not None:
-            attrs.append(("http.status_code", "int", span.status_code))
-    else:
-        if span.operation:
-            attrs.append(("deepflow.operation", "string",
-                          span.operation))
-        if span.resource:
-            attrs.append(("deepflow.resource", "string", span.resource))
-        if span.status_code is not None:
-            attrs.append(("deepflow.status_code", "int",
-                          span.status_code))
+    out: list[dict[str, Any]] = []
+    append = out.append
+    metrics = span.metrics
+    if metrics:
+        for key, name in (_key_order("deepflow.metric.", tuple(metrics))
+                          or _loose_key_order("deepflow.metric.", metrics,
+                                              float)):
+            value = float(metrics[key])
+            if isfinite(value):
+                append({"key": name, "value": {"doubleValue": value}})
+    protocol = span.protocol
+    operation = span.operation
+    http_family = protocol.startswith("http") or protocol == "grpc"
+    if operation and not http_family:
+        append({"key": "deepflow.operation",
+                "value": {"stringValue": str(operation)}})
+    if protocol:
+        append({"key": "deepflow.protocol",
+                "value": {"stringValue": str(protocol)}})
     if span.request_bytes:
-        attrs.append(("deepflow.request_bytes", "int",
-                      span.request_bytes))
+        append({"key": "deepflow.request_bytes",
+                "value": {"intValue": str(int(span.request_bytes))}})
+    if span.resource and not http_family:
+        append({"key": "deepflow.resource",
+                "value": {"stringValue": str(span.resource)}})
     if span.response_bytes:
-        attrs.append(("deepflow.response_bytes", "int",
-                      span.response_bytes))
-    for key, value in span.tags.items():
-        attrs.append((f"deepflow.tag.{key}", "string", str(value)))
-    for key, value in span.metrics.items():
-        value = float(value)
-        if math.isfinite(value):
-            attrs.append((f"deepflow.metric.{key}", "double", value))
-    # One final sort canonicalizes the whole list (tag/metric insertion
-    # order included), so no per-dict pre-sorting is needed.  Keys are
-    # distinct, so plain tuple order == sort-by-key, without a key
-    # callable on the hot export path.
-    attrs.sort()
-    return attrs
-
-
-def _encode_attr(key: str, value_type: str, value: Any) -> dict[str, Any]:
-    """One OTLP KeyValue; int64 values are decimal strings (proto3
-    JSON mapping)."""
-    if value_type == "string":
-        encoded: dict[str, Any] = {"stringValue": str(value)}
-    elif value_type == "int":
-        encoded = {"intValue": str(int(value))}
-    elif value_type == "double":
-        encoded = {"doubleValue": float(value)}
-    elif value_type == "bool":
-        encoded = {"boolValue": bool(value)}
-    else:
-        raise ValueError(f"unknown attribute value type {value_type!r}")
-    return {"key": key, "value": encoded}
-
-
-def _encode_attrs(attrs: list[tuple[str, str, Any]]) -> list[dict]:
-    # The string/int cases are inlined: this runs once per attribute of
-    # every span the continuous pipeline exports, and the call overhead
-    # of _encode_attr is measurable at 50k spans/s.
-    out = []
-    for key, value_type, value in attrs:
-        if value_type == "string":
-            out.append({"key": key, "value": {"stringValue": str(value)}})
-        elif value_type == "int":
-            out.append({"key": key,
-                        "value": {"intValue": str(int(value))}})
-        else:
-            out.append(_encode_attr(key, value_type, value))
+        append({"key": "deepflow.response_bytes",
+                "value": {"intValue": str(int(span.response_bytes))}})
+    append({"key": "deepflow.side",
+            "value": {"stringValue": span.side.value}})
+    append({"key": "deepflow.source",
+            "value": {"stringValue": span.kind.value}})
+    if span.status_code is not None and not http_family:
+        append({"key": "deepflow.status_code",
+                "value": {"intValue": str(int(span.status_code))}})
+    tags = span.tags
+    if tags:
+        for key, name in (_key_order("deepflow.tag.", tuple(tags))
+                          or _loose_key_order("deepflow.tag.", tags, str)):
+            append({"key": name, "value": {"stringValue": str(tags[key])}})
+    if http_family:
+        if operation:
+            append({"key": "http.method",
+                    "value": {"stringValue": str(operation)}})
+        if span.resource:
+            append({"key": "http.route",
+                    "value": {"stringValue": str(span.resource)}})
+        if span.status_code is not None:
+            append({"key": "http.status_code",
+                    "value": {"intValue": str(int(span.status_code))}})
+    if span.host:
+        append({"key": "net.host.name",
+                "value": {"stringValue": str(span.host)}})
+    if span.pid:
+        append({"key": "process.pid",
+                "value": {"intValue": str(int(span.pid))}})
     return out
 
 
-def _service_name(span: Span) -> str:
-    return span.process_name or span.device_name or span.host or "unknown"
+def _resource_spans(attributes: list[dict], scope_name: str,
+                    scope_version: str, spans: list[dict]) -> dict:
+    """One ``resourceSpans`` element: a resource and its single scope."""
+    return {"resource": {"attributes": attributes},
+            "scopeSpans": [{"scope": {"name": scope_name,
+                                      "version": scope_version},
+                            "spans": spans}]}
 
 
-def decompose_trace(trace: Trace) -> dict[str, Any]:
-    """The decoded (typed-tuple) form of *trace* — the same structure
-    :func:`decode_otlp_json` returns, so encoding is shared."""
+def trace_to_otlp_json(trace: Trace) -> dict[str, Any]:
+    """A whole trace in canonical OTLP/JSON ``resourceSpans`` form: one
+    pass from :class:`Span` to the wire dicts, grouped by service."""
     roots = trace.roots()
     trace_hex = _hex_id(roots[0].span_id if roots else 0, width=32)
-    groups: dict[str, list[Span]] = {}
+    groups: dict[str, list[dict[str, Any]]] = {}
     for span in trace:
-        groups.setdefault(_service_name(span), []).append(span)
-    resources = []
-    for service in sorted(groups):
-        spans = []
-        for span in groups[service]:
-            status_code, status_message = _span_status(span)
-            spans.append({
-                "trace_id": trace_hex,
-                "span_id": _hex_id(span.span_id),
-                "parent_span_id": _hex_id(span.parent_id),
-                "name": span.endpoint or span.protocol or "span",
-                "kind": _span_kind(span),
-                "start_ns": int(span.start_time * 1e9),
-                "end_ns": int(span.end_time * 1e9),
-                "status_code": status_code,
-                "status_message": status_message,
-                "attributes": span_attribute_tuples(span),
-            })
-        resources.append({
-            "attributes": [("service.name", "string", service),
-                           ("telemetry.sdk.name", "string", SCOPE_NAME)],
-            "scope": (SCOPE_NAME, SCOPE_VERSION),
-            "spans": spans,
+        service = (span.process_name or span.device_name or span.host
+                   or "unknown")
+        groups.setdefault(service, []).append({
+            "traceId": trace_hex,
+            "spanId": _hex_id(span.span_id),
+            "parentSpanId": _hex_id(span.parent_id),
+            "name": span.endpoint or span.protocol or "span",
+            "kind": _span_kind(span),
+            "startTimeUnixNano": str(int(span.start_time * 1e9)),
+            "endTimeUnixNano": str(int(span.end_time * 1e9)),
+            "attributes": _span_attributes(span),
+            "status": _span_status(span),
         })
-    return {"resources": resources}
+    return {"resourceSpans": [_resource_spans([
+        {"key": "service.name", "value": {"stringValue": service}},
+        {"key": "telemetry.sdk.name", "value": {"stringValue": SCOPE_NAME}},
+    ], SCOPE_NAME, SCOPE_VERSION, groups[service])
+        for service in sorted(groups)]}
+
+
+#: Decoded value type → (OTLP value field, canonical conversion).
+_VALUE_FIELDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "string": ("stringValue", str),
+    "int": ("intValue", lambda value: str(int(value))),
+    "double": ("doubleValue", float),
+    "bool": ("boolValue", bool),
+}
+
+
+def _encode_attrs(attrs: list[tuple[str, str, Any]]) -> list[dict]:
+    """OTLP KeyValues for decoded ``(key, value_type, value)`` tuples."""
+    out = []
+    for key, value_type, value in attrs:
+        if value_type not in _VALUE_FIELDS:
+            raise ValueError(f"unknown attribute value type {value_type!r}")
+        field, convert = _VALUE_FIELDS[value_type]
+        out.append({"key": key, "value": {field: convert(value)}})
+    return out
 
 
 def encode_decoded(decoded: dict[str, Any]) -> dict[str, Any]:
-    """Re-encode a decoded form back to the OTLP/JSON payload.
-
-    ``encode_decoded(decode_otlp_json(p)) == p`` for any payload this
-    module produced — the fixed point the round-trip property checks.
-    """
+    """The inverse of :func:`decode_otlp_json`: for any payload *p* this
+    module produced, ``encode_decoded(decode_otlp_json(p)) == p`` — the
+    fixed point the round-trip property checks."""
     resource_spans = []
     for resource in decoded["resources"]:
-        scope_name, scope_version = resource["scope"]
         spans = []
         for span in resource["spans"]:
             status: dict[str, Any] = {"code": span["status_code"]}
@@ -354,21 +367,9 @@ def encode_decoded(decoded: dict[str, Any]) -> dict[str, Any]:
                 "attributes": _encode_attrs(span["attributes"]),
                 "status": status,
             })
-        resource_spans.append({
-            "resource": {
-                "attributes": _encode_attrs(resource["attributes"]),
-            },
-            "scopeSpans": [{
-                "scope": {"name": scope_name, "version": scope_version},
-                "spans": spans,
-            }],
-        })
+        resource_spans.append(_resource_spans(_encode_attrs(
+            resource["attributes"]), *resource["scope"], spans))
     return {"resourceSpans": resource_spans}
-
-
-def trace_to_otlp_json(trace: Trace) -> dict[str, Any]:
-    """A whole trace in canonical OTLP/JSON ``resourceSpans`` form."""
-    return encode_decoded(decompose_trace(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +447,13 @@ def _decode_attrs(items: Any, where: str) -> list[tuple[str, str, Any]]:
         elif field == "doubleValue":
             if isinstance(payload, bool) \
                     or not isinstance(payload, (int, float)) \
-                    or not math.isfinite(payload):
+                    or not isfinite(payload):
                 raise OtlpDecodeError(f"{slot}: doubleValue must be a "
                                       f"finite number")
             out.append((key, "double", float(payload)))
         elif field == "boolValue":
             if not isinstance(payload, bool):
-                raise OtlpDecodeError(f"{slot}: boolValue must be a "
-                                      f"bool")
+                raise OtlpDecodeError(f"{slot}: boolValue must be a bool")
             out.append((key, "bool", payload))
         else:
             raise OtlpDecodeError(f"{slot}: unknown value type {field!r}")

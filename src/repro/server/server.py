@@ -178,16 +178,17 @@ class DeepFlowServer:
     def _enrich(self, span: Span) -> None:
         """Smart-encoding step ⑦: (vpc, ip) → resource tags in Int form.
 
-        The store keeps the decoded dict for inspectability; the Int
-        round-trip is exercised so the encoding is honest.
+        The store keeps the decoded dict for inspectability.  The Int
+        round-trip is still what produces it, once per endpoint per
+        registration (:meth:`TagRegistry.decoded_resource_tags`), so a
+        span costs one lookup and a copy of the entries into its own
+        ``tags``.
         """
-        vpc = span.tags.get("vpc")
-        ip = span.tags.get("ip")
-        if vpc is None or ip is None:
-            return
-        encoded = self.tags.resource_tags_encoded(vpc, ip)
-        if encoded:
-            span.tags.update(self.tags.decode(encoded))
+        tags = span.tags
+        vpc = tags.get("vpc")
+        ip = tags.get("ip")
+        if vpc is not None and ip is not None:
+            tags.update(self.tags.decoded_resource_tags(vpc, ip))
 
     def ingest_otel_span(self, span: Span,
                          now: Optional[float] = None) -> None:

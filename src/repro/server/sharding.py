@@ -58,6 +58,7 @@ they need, same as the unsharded store).
 from __future__ import annotations
 
 import heapq
+import marshal
 import zlib
 from typing import Callable, Iterable, Optional
 
@@ -89,12 +90,16 @@ def _slow_route_hash(value: object) -> int:
 
 
 def _partition_hash(tag: str, value: object) -> int:
-    """Stable partition index source for one tagged boundary key."""
-    if value.__class__ is int:
-        inner = value * _MIX_KEY
-    else:
-        inner = zlib.crc32(repr(value).encode("utf-8", "surrogatepass"))
-    return zlib.crc32(tag.encode("ascii")) ^ (inner & 0xFFFFFFFF)
+    """Stable partition index source for one tagged boundary key: crc32
+    over the key's marshalled int/str members — no ``repr()`` round
+    trip, no memo, and no builtin ``hash()``, whose string salt differs
+    per process.  Marshal format 2 is pinned because it writes a value's
+    content only; formats 3+ also encode whether a str is interned and
+    whether a member object is shared, so equal keys would differ."""
+    try:
+        return zlib.crc32(marshal.dumps((tag, value), 2))
+    except ValueError:  # a member marshal cannot write (str subclass…)
+        return zlib.crc32(tag.encode("ascii")) ^ _slow_route_hash(value)
 
 
 class ShardedSpanStore:
@@ -258,20 +263,23 @@ class ShardedSpanStore:
         keys by boundary partition.  Returns the number of key events
         sealed.  Per-shard work: in the modeled deployment every shard
         server runs this phase in parallel."""
+        self.shards[shard_index].flush()
+        return self._bucket_first_seen(shard_index)
+
+    def _bucket_first_seen(self, shard_index: int) -> int:
+        """Drain one shard's first-seen-key log into the boundary
+        partition buckets; returns the number of key events moved."""
         shard = self.shards[shard_index]
-        shard.flush()
         log = shard.first_seen_keys
         if not log:
             return 0
         shard.first_seen_keys = []
         buckets = self._buckets
         count = self.partition_count
-        sealed = 0
         for tag, value, span_id in log:
-            index = _partition_hash(tag, value) % count
-            buckets[index].append((tag, value, span_id, shard_index))
-            sealed += 1
-        return sealed
+            buckets[_partition_hash(tag, value) % count].append(
+                (tag, value, span_id, shard_index))
+        return len(log)
 
     def probe_partition(self, partition: int) -> list[tuple[int, int]]:
         """Probe one boundary partition's owner table with its sealed key
@@ -327,21 +335,11 @@ class ShardedSpanStore:
     def _ensure_traceable(self) -> None:
         """Bring key indexes and the boundary forest up to date (the
         lazy-commit step trace queries trigger)."""
-        dirty = False
         for shard_index, shard in enumerate(self.shards):
             if shard.first_seen_keys or shard.pending_key_count():
                 shard.commit_keys()
-                log = shard.first_seen_keys
-                if log:
-                    shard.first_seen_keys = []
-                    buckets = self._buckets
-                    count = self.partition_count
-                    for tag, value, span_id in log:
-                        index = _partition_hash(tag, value) % count
-                        buckets[index].append(
-                            (tag, value, span_id, shard_index))
-                dirty = True
-        if dirty or any(self._buckets):
+                self._bucket_first_seen(shard_index)
+        if any(self._buckets):
             self.merge_boundaries()
 
     # -- component-changed events (continuous pipeline) ---------------------

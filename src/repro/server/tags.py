@@ -53,6 +53,10 @@ class TagRegistry:
         # Pre-encoded Int form of the resource tags (Figure 8 step ⑦).
         self._resource_encoded: dict[tuple[str, str],
                                      dict[int, int]] = {}
+        # The Int form decoded back to strings, per registered endpoint:
+        # filled by decoded_resource_tags, dropped by register.
+        self._resource_decoded: dict[tuple[str, str],
+                                     dict[str, str]] = {}
 
     @staticmethod
     def _split(tags: dict[str, str]) -> tuple[dict, dict]:
@@ -75,6 +79,7 @@ class TagRegistry:
         self._resource_encoded[key] = {
             self.keys.intern(tag_key): self.values.intern(tag_value)
             for tag_key, tag_value in self._resource[key].items()}
+        self._resource_decoded.pop(key, None)
 
     def resource_tags(self, vpc: str, ip: str) -> dict[str, str]:
         """Registered resource tags for (vpc, ip)."""
@@ -83,6 +88,23 @@ class TagRegistry:
     def resource_tags_encoded(self, vpc: str, ip: str) -> dict[int, int]:
         """The pre-encoded Int form injected at storage time (step ⑦)."""
         return dict(self._resource_encoded.get((vpc, ip), {}))
+
+    def decoded_resource_tags(self, vpc: str, ip: str) -> dict[str, str]:
+        """What storage-time enrichment joins onto a span: the Int form
+        of step ⑦ run back through :meth:`decode`, memoized per
+        registered endpoint until its next :meth:`register`.
+
+        The result is the memo entry itself, shared by every caller —
+        copy out of it (``dict.update``), never mutate or keep it.
+        """
+        key = (vpc, ip)
+        decoded = self._resource_decoded.get(key)
+        if decoded is None:
+            encoded = self._resource_encoded.get(key)
+            if encoded is None:
+                return {}
+            decoded = self._resource_decoded[key] = self.decode(encoded)
+        return decoded
 
     def custom_tags(self, vpc: str, ip: str) -> dict[str, str]:
         """Self-defined labels, joined in at query time (step ⑧)."""

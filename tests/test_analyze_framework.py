@@ -211,6 +211,42 @@ def test_discipline_flags_bare_assert(tmp_path):
     assert "runtime-assert" in rules, report.findings
 
 
+def test_discipline_flags_builtin_hash(tmp_path):
+    """The campaign once seeded its worlds with ``hash(category)``: a
+    different world per process.  repro.sim is not exempt — it owns the
+    clock and the RNG, not the interpreter's string salt."""
+    root = _seed_tree(tmp_path, {
+        "analysis/seeds.py": '''
+            def world_seed(seed, category):
+                return seed + hash(category) % 1000
+            ''',
+        "sim/jitter.py": '''
+            def jitter(name):
+                return hash(name) % 7
+            ''',
+        "core/key.py": '''
+            import zlib
+
+
+            class Key:
+                def __init__(self, text):
+                    self.text = text
+
+                def __hash__(self):
+                    return hash(self.text)
+
+                def stable(self):
+                    return zlib.crc32(self.text.encode())
+            ''',
+    })
+    report = _analyze(root, ["discipline"])
+    flagged = sorted((f.path.rsplit("/", 1)[-1], f.rule)
+                     for f in report.findings)
+    assert flagged == [("jitter.py", "determinism"),
+                       ("seeds.py", "determinism")], report.findings
+    assert all("hash()" in f.message for f in report.findings)
+
+
 def test_suppression_marker_silences_finding(tmp_path):
     root = _seed_tree(tmp_path, {
         "agent/check.py": '''
@@ -324,6 +360,50 @@ def test_hot_path_guard_flags_fstring_and_call(tmp_path):
     report = _analyze(root, ["hot-path"])
     rules = sorted(f.rule for f in report.findings)
     assert rules == ["hp-alloc-in-guard", "hp-alloc-in-guard"], \
+        report.findings
+
+
+def test_hot_path_covers_the_otlp_encoder_and_enrichment(tmp_path):
+    """The write-path seeds: what the two-pass encoder did per
+    attribute (an f-string per tag, one sort per span) and what
+    enrichment did per span (a decoded dict rebuilt each time) are
+    findings now; the one-pass shapes that replaced them are not."""
+    root = _seed_tree(tmp_path, {
+        "core/export.py": '''
+            def _attrs(span):
+                out = []
+                for key, value in span.tags.items():
+                    out.append((f"deepflow.tag.{key}", str(value)))
+                return out
+
+
+            def _ordered(span, order):
+                out = []
+                for key, name in order:
+                    out.append({"key": name, "value": span.tags[key]})
+                return out
+
+
+            def trace_to_otlp_json(trace, order):
+                spans = []
+                for span in trace:
+                    spans.append(sorted(_attrs(span)))
+                    spans.append(_ordered(span, order))
+                return spans
+            ''',
+        "server/server.py": '''
+            class DeepFlowServer:
+                def _enrich(self, span):
+                    for key in ("vpc", "ip"):
+                        span.tags.update({k: v for k, v in self.rows})
+            ''',
+    })
+    report = _analyze(root, ["hot-path"])
+    found = sorted((f.function.rsplit(".", 1)[-1], f.rule)
+                   for f in report.findings)
+    assert found == [("_attrs", "hp-alloc-in-loop"),
+                     ("_enrich", "hp-alloc-in-loop"),
+                     ("trace_to_otlp_json", "hp-rescan-in-loop")], \
         report.findings
 
 

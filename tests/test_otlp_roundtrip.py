@@ -1,8 +1,12 @@
 """Property tests on the canonical OTLP/JSON export form.
 
-Two invariants the continuous pipeline leans on, checked over
+Three invariants the continuous pipeline leans on, checked over
 adversarial span populations:
 
+* **Byte identity.**  The one-pass encoder emits exactly what the
+  two-pass encoder it replaced did (``tests/otlp_two_pass_oracle.py``
+  keeps that one as the oracle), key order, dropped metrics and
+  off-annotation tag keys included.
 * **Fixed point.**  ``export -> decode -> re-export`` must reproduce
   the original payload byte-for-byte (after JSON round-trip), so a
   downstream consumer that validates-then-forwards is lossless.
@@ -32,25 +36,36 @@ from repro.core.export import (
     STATUS_CODE_VALUES,
     decode_otlp_json,
     decode_otlp_metrics,
-    decompose_trace,
     encode_decoded,
     metrics_to_otlp_json,
-    span_attribute_tuples,
     trace_to_otlp_json,
 )
 from repro.core.ids import IdAllocator
 from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span, SpanKind, SpanSide, Trace
 from repro.server.assembler import assign_parents
+from tests.otlp_two_pass_oracle import (decompose_trace,
+                                        two_pass_trace_to_otlp_json)
 
 _ids = IdAllocator(13)
 
-_TYPE_OF_VALUE = {str: "string", int: "int", float: "double"}
+#: Keys outside the ``dict[str, ...]`` annotation: they bypass the
+#: encoder's key-order memo, and with digits in the text alphabet two
+#: of them can format alike (``1`` and ``"1"``).
+_LOOSE_KEYS = st.one_of(st.integers(min_value=0, max_value=3),
+                        st.booleans(), st.none(),
+                        st.text(alphabet="01a._-", min_size=1, max_size=3))
 
 
 @st.composite
-def export_span(draw):
-    """A span exercising every branch of the attribute builder."""
+def export_span(draw, loose_keys=False):
+    """A span exercising every branch of the attribute builder.
+
+    With *loose_keys* the tag and metric dicts also draw non-``str``
+    and colliding keys; the strict decoder rejects what those export to
+    (duplicate attribute keys), so only the byte-identity property
+    asks for them.
+    """
     side = draw(st.sampled_from([SpanSide.CLIENT, SpanSide.SERVER,
                                  SpanSide.NETWORK, SpanSide.APP]))
     kind = draw(st.sampled_from(list(SpanKind)))
@@ -62,13 +77,22 @@ def export_span(draw):
         ["", "http", "http2", "grpc", "mysql", "redis", "dns",
          "amqp", "kafka", "mqtt"]))
     status = draw(st.sampled_from(["", "ok", "error"]))
+    tag_keys = st.text(alphabet="abcdefghijk._-", min_size=1, max_size=8)
+    metric_keys = st.text(alphabet="lmnopqrstuv._-", min_size=1,
+                          max_size=8)
+    if loose_keys:
+        tag_keys = st.one_of(tag_keys, _LOOSE_KEYS)
+        metric_keys = st.one_of(metric_keys, _LOOSE_KEYS)
     tags = draw(st.dictionaries(
-        st.text(alphabet="abcdefghijk._-", min_size=1, max_size=8),
-        st.text(max_size=12), max_size=4))
+        tag_keys,
+        st.one_of(st.text(max_size=12), st.integers(), st.none(),
+                  st.booleans(), st.floats()), max_size=4))
+    # NaN and the infinities are dropped at export, never encoded.
     metrics = draw(st.dictionaries(
-        st.text(alphabet="lmnopqrstuv._-", min_size=1, max_size=8),
-        st.floats(allow_nan=False, allow_infinity=False,
-                  width=32), max_size=4))
+        metric_keys,
+        st.one_of(st.floats(width=32), st.floats(),
+                  st.integers(min_value=-10, max_value=10),
+                  st.booleans()), max_size=4))
     if status == "error" and draw(st.booleans()):
         tags["error.kind"] = draw(st.sampled_from(
             ["timeout", "reset", ""]))
@@ -102,6 +126,15 @@ def _assembled_trace(spans):
 
 
 class TestRoundTripProperties:
+    @given(spans=st.lists(st.one_of(export_span(),
+                                    export_span(loose_keys=True)),
+                          min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_encoder_matches_two_pass_oracle(self, spans):
+        trace = _assembled_trace(spans)
+        assert json.dumps(trace_to_otlp_json(trace)) \
+            == json.dumps(two_pass_trace_to_otlp_json(trace))
+
     @given(spans=st.lists(export_span(), min_size=1, max_size=12))
     @settings(max_examples=120, deadline=None)
     def test_export_decode_reexport_fixed_point(self, spans):
@@ -111,15 +144,21 @@ class TestRoundTripProperties:
         wire = json.loads(json.dumps(payload))
         decoded = decode_otlp_json(wire)
         assert encode_decoded(decoded) == payload
-        # And the decoded structure is exactly the decomposed trace —
-        # decode is the inverse of encode, not a lossy projection.
+        # And the decoded structure is exactly the typed form the
+        # two-pass encoder went through — decode is the inverse of
+        # encode, not a lossy projection.
         assert decoded == decompose_trace(trace)
 
     @given(spans=st.lists(export_span(), min_size=1, max_size=12))
     @settings(max_examples=120, deadline=None)
     def test_attribute_keys_follow_conventions(self, spans):
-        for span in spans:
-            attrs = span_attribute_tuples(span)
+        decoded = decode_otlp_json(
+            trace_to_otlp_json(_assembled_trace(spans)))
+        exported = [span for resource in decoded["resources"]
+                    for span in resource["spans"]]
+        assert len(exported) == len(spans)
+        for span in exported:
+            attrs = span["attributes"]
             keys = [key for key, _type, _value in attrs]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
@@ -161,6 +200,71 @@ class TestRoundTripProperties:
 
 def _first_span(payload):
     return payload["resourceSpans"][0]["scopeSpans"][0]["spans"][0]
+
+
+class TestOnePassEncoder:
+    def test_keys_that_format_alike_order_by_exported_value(self):
+        span = Span(span_id=7, kind=SpanKind.SYSCALL, side=SpanSide.SERVER,
+                    start_time=1.0, end_time=2.0, protocol="mysql",
+                    tags={1: "b", "1": "a", "x": None},
+                    metrics={2: 1.0, "2": -1.0, 1: float("nan"), "1": 2,
+                             None: 1.5, "None": float("inf")})
+        trace = Trace([span])
+        payload = trace_to_otlp_json(trace)
+        assert json.dumps(payload) \
+            == json.dumps(two_pass_trace_to_otlp_json(trace))
+        attrs = [(attr["key"], *attr["value"].values())
+                 for attr in _first_span(payload)["attributes"]]
+        assert attrs[:4] == [("deepflow.metric.1", 2.0),
+                             ("deepflow.metric.2", -1.0),
+                             ("deepflow.metric.2", 1.0),
+                             ("deepflow.metric.None", 1.5)]
+        assert attrs[-3:] == [("deepflow.tag.1", "a"),
+                              ("deepflow.tag.1", "b"),
+                              ("deepflow.tag.x", "None")]
+
+    def test_key_order_memo_skips_non_str_keys_and_is_bounded(self):
+        from repro.core.export import _key_order
+        assert _key_order("deepflow.tag.", ("b", "a")) == (
+            ("a", "deepflow.tag.a"), ("b", "deepflow.tag.b"))
+        # (1,) == (True,) as cache keys but format differently.
+        assert _key_order("deepflow.tag.", (1,)) is None
+        assert _key_order("deepflow.tag.", (True, "a")) is None
+        assert _key_order.cache_info().maxsize == 256
+
+    def test_more_key_tuples_than_the_memo_holds(self):
+        from repro.core.export import _key_order
+        cap = _key_order.cache_info().maxsize
+        spans = [Span(span_id=i + 1, kind=SpanKind.SYSCALL,
+                      side=SpanSide.SERVER, start_time=1.0, end_time=2.0,
+                      tags={f"k{i}": "v", "a": "w"}, metrics={f"m{i}": 1.0})
+                 for i in range(cap + 40)]
+        trace = Trace(spans + spans[:40])      # evicted entries refill
+        assert json.dumps(trace_to_otlp_json(trace)) \
+            == json.dumps(two_pass_trace_to_otlp_json(trace))
+        assert _key_order.cache_info().currsize == cap
+
+    def test_unknown_decoded_value_type_is_a_value_error(self):
+        decoded = decode_otlp_json(trace_to_otlp_json(Trace([Span(
+            span_id=7, kind=SpanKind.SYSCALL, side=SpanSide.SERVER,
+            start_time=1.0, end_time=2.0)])))
+        decoded["resources"][0]["spans"][0]["attributes"].append(
+            ("zz", "bytes", b"x"))
+        with pytest.raises(ValueError, match="unknown attribute value "
+                                             "type 'bytes'"):
+            encode_decoded(decoded)
+
+    def test_payload_shares_no_mutable_state_between_spans(self):
+        spans = [Span(span_id=i, kind=SpanKind.SYSCALL,
+                      side=SpanSide.SERVER, start_time=1.0, end_time=2.0,
+                      process_name="svc", tags={"pod": "p"},
+                      metrics={"rtt": 0.5}) for i in (1, 2)]
+        payload = trace_to_otlp_json(Trace(spans))
+        first, second = payload["resourceSpans"][0]["scopeSpans"][0]["spans"]
+        for mine, theirs in zip(first["attributes"], second["attributes"]):
+            assert mine == theirs
+            assert mine is not theirs
+            assert mine["value"] is not theirs["value"]
 
 
 @pytest.fixture()

@@ -14,6 +14,7 @@ from repro.server.encoding import (
     SmartEncoder,
 )
 from repro.server.metricsdb import MetricsDatabase
+from repro.server.server import DeepFlowServer
 from repro.server.tags import TagRegistry
 
 _ids = IdAllocator(9)
@@ -287,6 +288,70 @@ class TestTagRegistry:
         e1 = registry.resource_tags_encoded("v", "ip1")
         e2 = registry.resource_tags_encoded("v", "ip2")
         assert e1 == e2  # same strings, same codes
+
+    def test_decoded_resource_tags_memo_is_dropped_by_register(self):
+        registry = TagRegistry()
+        registry.register("v", "ip", {"pod": "p1", "commit": "abc"})
+        first = registry.decoded_resource_tags("v", "ip")
+        assert first == {"pod": "p1"}  # custom labels stay out (step ⑧)
+        assert registry.decoded_resource_tags("v", "ip") is first
+        registry.register("v", "ip", {"pod": "p2", "node": "n1"})
+        assert registry.decoded_resource_tags("v", "ip") == {
+            "pod": "p2", "node": "n1"}
+        assert first == {"pod": "p1"}
+
+    def test_unregistered_endpoints_are_not_memoized(self):
+        registry = TagRegistry()
+        for i in range(50):
+            assert registry.decoded_resource_tags("v", f"ip{i}") == {}
+        assert not registry._resource_decoded
+
+
+class TestEnrichment:
+    """Storage-time enrichment through the per-endpoint memo."""
+
+    @staticmethod
+    def _span(span_id, ip="10.0.0.1"):
+        return Span(span_id=span_id, kind=SpanKind.SYSCALL,
+                    side=SpanSide.SERVER, start_time=1.0, end_time=2.0,
+                    tags={"vpc": "v", "ip": ip})
+
+    def test_register_after_ingest_changes_later_spans_only(self):
+        server = DeepFlowServer()
+        server.register_resource_tags("v", "10.0.0.1", {"pod": "p1"})
+        early = self._span(1)
+        server.ingest_spans([early])
+        server.register_resource_tags("v", "10.0.0.1",
+                                      {"pod": "p2", "az": "az-1"})
+        late = self._span(2)
+        server.ingest_spans([late])
+        assert early.tags == {"vpc": "v", "ip": "10.0.0.1", "pod": "p1"}
+        assert late.tags == {"vpc": "v", "ip": "10.0.0.1", "pod": "p2",
+                             "az": "az-1"}
+
+    def test_span_tags_alias_neither_each_other_nor_the_registry(self):
+        server = DeepFlowServer()
+        server.register_resource_tags("v", "10.0.0.1", {"pod": "p1"})
+        one, two = self._span(1), self._span(2)
+        server.ingest_spans([one, two])
+        one.tags["pod"] = "mutated"
+        one.tags["extra"] = "x"
+        assert two.tags == {"vpc": "v", "ip": "10.0.0.1", "pod": "p1"}
+        three = self._span(3)
+        server.ingest_spans([three])
+        assert three.tags == two.tags
+        assert server.tags.resource_tags("v", "10.0.0.1") == {"pod": "p1"}
+        assert server.tags.decoded_resource_tags("v", "10.0.0.1") == {
+            "pod": "p1"}
+
+    def test_unknown_endpoint_and_untagged_span_pass_through(self):
+        server = DeepFlowServer()
+        unknown = self._span(1, ip="10.9.9.9")
+        bare = Span(span_id=2, kind=SpanKind.SYSCALL,
+                    side=SpanSide.SERVER, start_time=1.0, end_time=2.0)
+        server.ingest_spans([unknown, bare])
+        assert unknown.tags == {"vpc": "v", "ip": "10.9.9.9"}
+        assert bare.tags == {}
 
 
 def _tag_row(i):

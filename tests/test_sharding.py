@@ -7,11 +7,16 @@ APIs the scaling benchmark prices separately, tenant label threading,
 and the observability counters.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.span import Span, SpanKind, SpanSide
 from repro.server.database import SpanStore
-from repro.server.sharding import MAX_SHARDS, ShardedSpanStore
+from repro.server.sharding import (MAX_SHARDS, ShardedSpanStore,
+                                   _partition_hash)
 
 
 def make_span(span_id, *, systrace=None, xreq=None, start=1.0, **extra):
@@ -105,6 +110,82 @@ class TestIngest:
         store.insert_many(spans)
         assert {s.span_id for s in store.all_spans()} == set(range(60))
         assert len(store) == 60
+
+
+#: One tagged key per association axis, in the shapes the agents emit.
+_TAGGED_KEYS = [
+    ("sys", 5497558140662),
+    ("pt", ("node-5", "t", 100, 1005, 75)),
+    ("xr", "req-\u00e9-1"),
+    ("fs", ((("10.0.1.2", 40005), ("10.0.5.2", 9100), "tcp"), "p", 2813)),
+    ("fs", ((("10.0.1.2", 40005), ("10.0.5.2", 9100), "tcp"), "q", 2813)),
+    ("ot", "4bf92f3577b34da6a3ce929d0e0e4736"),
+    ("mq", ("amqp", "orders", 17)),
+    ("mq", ("amqp", None, 1.5)),
+]
+
+
+class TestPartitionHash:
+    def test_independent_of_pythonhashseed(self):
+        script = ("from tests.test_sharding import _TAGGED_KEYS\n"
+                  "from repro.server.sharding import _partition_hash\n"
+                  "print([_partition_hash(t, v) for t, v in _TAGGED_KEYS])")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [os.path.join(root, "src"), root]))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=60, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        here = [_partition_hash(tag, value) for tag, value in _TAGGED_KEYS]
+        assert outputs[0].strip() == repr(here)
+
+    def test_every_member_of_a_key_counts(self):
+        hashes = {_partition_hash(tag, value)
+                  for tag, value in _TAGGED_KEYS}
+        assert len(hashes) == len(_TAGGED_KEYS)
+        assert _partition_hash("pt", ("a", 1)) \
+            != _partition_hash("pt", (1, "a"))
+        assert _partition_hash("pt", ("a", 1)) \
+            != _partition_hash("fs", ("a", 1))
+
+    def test_equal_keys_built_separately_hash_alike(self):
+        # Neither str interning nor sharing one member object between
+        # two slots may show in the hash (marshal formats 3+ write
+        # both): a flow key rebuilt from fresh strings must land where
+        # the first one did.
+        end = ("10.0.1.2", 40005)
+        flow = (end, end, "tcp")
+        twin = ((".".join(["10", "0", "1", "2"]), 40005),
+                (".".join(["10", "0", "1", "2"]), 40005),
+                "".join(["t", "cp"]))
+        assert twin == flow and twin[0] is not twin[1]
+        assert twin[0][0] is not flow[0][0]
+        assert _partition_hash("fs", (flow, "q", 7)) \
+            == _partition_hash("fs", (twin, "q", 7))
+
+    def test_equal_but_differently_typed_members_do_not_interfere(self):
+        # 1 == 1.0 == True: whichever is hashed first must not decide
+        # what the others get (there is no equality-keyed memo).
+        keys = [("mq", ("q", 1)), ("mq", ("q", 1.0)), ("mq", ("q", True))]
+        forward = [_partition_hash(tag, value) for tag, value in keys]
+        backward = [_partition_hash(tag, value)
+                    for tag, value in reversed(keys)]
+        assert forward == backward[::-1]
+        assert forward == [_partition_hash(tag, value)
+                           for tag, value in keys]
+
+    def test_unmarshallable_member_falls_back_to_repr(self):
+        class Label(str):
+            pass
+        key = ("node-1", Label("t"), 3)
+        assert _partition_hash("pt", key) == _partition_hash("pt", key)
+        assert _partition_hash("pt", key) \
+            != _partition_hash("pt", ("node-1", Label("u"), 3))
 
 
 class TestBoundaryPhases:

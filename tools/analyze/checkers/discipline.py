@@ -5,7 +5,11 @@ engine (same rule ids, same message text — the back-compat shim maps
 these findings straight back to ``Violation`` objects) and adds one new
 rule:
 
-* ``determinism`` — wall-clock / RNG calls outside ``repro.sim``.
+* ``determinism`` — wall-clock / RNG calls outside ``repro.sim``, and
+  builtin ``hash()`` anywhere: string hashes are salted per process
+  (``PYTHONHASHSEED``), so a value derived from one differs from run to
+  run.  A ``__hash__`` method may call it — the result never leaves the
+  process.
 * ``layering`` — imports that cross the package layering matrix,
   including the agent/server → apps tracing back-channel.
 * ``runtime-assert`` — bare ``assert`` used for runtime validation in
@@ -88,6 +92,8 @@ class _ModuleLinter(ast.NodeVisitor):
         self._from_aliases: dict[str, tuple[str, str]] = {}
         #: local alias → banned module from `import X as Y`.
         self._module_aliases: dict[str, str] = {}
+        #: enclosing ``__hash__`` definitions (builtin hash() is theirs).
+        self._hash_method_depth = 0
 
     def _report(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(Finding(
@@ -139,9 +145,23 @@ class _ModuleLinter(ast.NodeVisitor):
 
     # -- calls -------------------------------------------------------------
 
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        is_hash_method = node.name == "__hash__"
+        self._hash_method_depth += is_hash_method
+        self.generic_visit(node)
+        self._hash_method_depth -= is_hash_method
+
     def visit_Call(self, node: ast.Call) -> None:
         if self._determinism_applies:
             self._check_call(node)
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "hash" \
+                and not self._hash_method_depth:
+            self._report(
+                node, "determinism",
+                "call to builtin hash() — str/bytes hashes are salted "
+                "per process (PYTHONHASHSEED), so the value changes "
+                "from run to run; use zlib.crc32 for a stable one")
         self.generic_visit(node)
 
     def _check_call(self, node: ast.Call) -> None:

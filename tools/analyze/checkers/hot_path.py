@@ -32,7 +32,8 @@ the once-per-socket/once-per-transition slow paths they delegate to are
 deliberately not listed.
 
 Dynamic dispatch hides the agent's handler table from the call graph,
-so the seed list names the handler methods explicitly.
+so the seed list names the handler methods explicitly; module-level
+entry points (the OTLP encoder) are seeded by qualified name.
 """
 
 from __future__ import annotations
@@ -60,7 +61,19 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     # per-span and per-link-event loops; parent assembly (which sorts)
     # is deliberately split into finalize_pending, off this closure.
     "ContinuousAssembler": ("on_spans",),
+    # Enrichment runs once per ingested span: one memo lookup and a
+    # dict.update, where it used to rebuild the decoded tag dict.
+    "DeepFlowServer": ("_enrich",),
 }
+
+#: Module-level functions seeding the hot closure, by qualified name.
+#: The one-pass OTLP encoder is seeded here rather than through
+#: ``OtlpStreamExporter.export_trace``, whose closure also holds the
+#: schema decoder behind ``validate=True`` — error-message f-strings in
+#: loops, by design, and off in every throughput run.
+HOT_FUNCTION_SEEDS: tuple[str, ...] = (
+    "repro.core.export.trace_to_otlp_json",
+)
 
 #: class name → methods whose ENTIRE body must be allocation-free: the
 #: overload-protection fast paths, which run per kernel event exactly
@@ -91,7 +104,8 @@ RESCAN_METHODS = {"sort", "index"}
 
 def hot_functions(project: Project) -> dict[str, FunctionInfo]:
     """qualname → function for the hot-seed call-graph closure."""
-    seeds: set[str] = set()
+    seeds: set[str] = {qualname for qualname in HOT_FUNCTION_SEEDS
+                       if qualname in project.functions}
     for cls in project.classes.values():
         wanted = HOT_SEEDS.get(cls.name)
         if not wanted:
