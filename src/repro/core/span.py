@@ -20,7 +20,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Optional
+
+#: Sort key of the canonical span order: what a :class:`Trace` holds
+#: its spans in and ``repro.server.assembler``'s parent rules consume.
+CANONICAL_ORDER = attrgetter("start_time", "span_id")
 
 
 class SpanKind(enum.Enum):
@@ -129,8 +134,18 @@ class Trace:
     """An assembled trace: spans plus parent links, ready for display."""
 
     def __init__(self, spans: list[Span]):
-        self.spans = sorted(spans, key=lambda s: (s.start_time, s.span_id))
+        self.spans = sorted(spans, key=CANONICAL_ORDER)
         self._by_id = {span.span_id: span for span in self.spans}
+        #: parent id → children in canonical order; built on first use.
+        self._children: Optional[dict[int, list[Span]]] = None
+
+    @classmethod
+    def _from_ordered(cls, ordered: list[Span]) -> "Trace":
+        """Adopt spans already in canonical order (the assembler's)."""
+        trace = cls(())
+        trace.spans = ordered
+        trace._by_id = {span.span_id: span for span in ordered}
+        return trace
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -149,9 +164,14 @@ class Trace:
                 or span.parent_id not in self._by_id]
 
     def children(self, span: Span) -> list[Span]:
-        """Direct children of *span*."""
-        return [child for child in self.spans
-                if child.parent_id == span.span_id]
+        """Direct children of *span*: from a map built once, from the
+        parent links as they stand on first use, not a scan per call."""
+        index = self._children
+        if index is None:
+            index = self._children = {}
+            for child in self.spans:  # roots land under None: no span's id
+                index.setdefault(child.parent_id, []).append(child)
+        return list(index.get(span.span_id, ()))
 
     def depth(self, span: Span) -> int:
         """Distance from *span* to its root."""

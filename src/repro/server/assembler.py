@@ -19,10 +19,13 @@ encloses it in time), matching the figure and the OSS system.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 from typing import Optional
 
-from repro.core.span import Span, SpanKind, SpanSide, Trace
-from repro.server.database import AssociationFilter, SpanStore
+from repro.core.span import (CANONICAL_ORDER, Span, SpanKind, SpanSide,
+                             Trace)
+from repro.server.database import (QUEUE_RELAY_PROTOCOLS,
+                                   AssociationFilter, SpanStore)
 
 #: Default iteration bound of Algorithm 1 ("the default is 30").
 DEFAULT_ITERATIONS = 30
@@ -30,6 +33,11 @@ DEFAULT_ITERATIONS = 30
 #: Slack allowed when comparing intervals across hosts (clock skew &
 #: capture-position effects), seconds.
 ENCLOSURE_SLACK = 1e-6
+
+#: Span kinds built from the eBPF hooks: what client/server rules link.
+EBPF_KINDS = (SpanKind.SYSCALL, SpanKind.UPROBE)
+
+_PATH_INDEX = attrgetter("path_index")
 
 
 class TraceAssembler:
@@ -117,35 +125,36 @@ class TraceAssembler:
                  use_index: Optional[bool] = None) -> Trace:
         """Full Algorithm 1: collect, set parents, sort."""
         spans = self.collect(start_span_id, use_index=use_index)
-        assign_parents(spans,
-                       enable_queue_relay=self.enable_queue_relay,
-                       enable_x_request_id=self.enable_x_request_id)
-        return Trace(spans)
+        return Trace._from_ordered(assign_parents(
+            spans, enable_queue_relay=self.enable_queue_relay,
+            enable_x_request_id=self.enable_x_request_id))
 
 
 def assign_parents(spans: list[Span], *, enable_queue_relay: bool = True,
-                   enable_x_request_id: bool = True) -> None:
+                   enable_x_request_id: bool = True) -> list[Span]:
     """Apply the parent-rule table to a span set, in priority order.
 
     Every rule that links across association axes guards against
     introducing a cycle by walking the candidate parent's ancestor chain
     (:func:`_creates_cycle`): the chain rules may already have parented
     the candidate — possibly through intermediate network spans — under
-    the very span being linked.  Spans are processed in canonical
-    ``(start_time, span_id)`` order inside each phase so the outcome is
-    independent of input order.
+    the very span being linked.  The spans are sorted once into
+    canonical ``(start_time, span_id)`` order and every rule consumes
+    it — "the earliest span that …" is the first one a rule sees — so
+    the outcome is independent of input order.  Returns the ordered
+    list: what :class:`Trace` holds, with no second sort.
     """
-    for span in spans:
-        span.parent_id = None
     by_id = {span.span_id: span for span in spans}
-    ordered = sorted(spans, key=lambda span: (span.start_time,
-                                              span.span_id))
-    _chain_message_groups(spans)
+    ordered = sorted(spans, key=CANONICAL_ORDER)
+    for span in ordered:
+        span.parent_id = None
+    _chain_message_groups(ordered)
     _apply_app_rules(ordered, by_id)
     _apply_intra_component_rules(ordered, by_id,
                                  enable_x_request_id=enable_x_request_id)
     if enable_queue_relay:
         _apply_queue_relay_rules(ordered, by_id)
+    return ordered
 
 
 def _creates_cycle(span: Span, parent: Span,
@@ -156,59 +165,66 @@ def _creates_cycle(span: Span, parent: Span,
     The predecessor guard (``parent.parent_id != span.span_id``) only
     caught two-cycles; the chain rules can put the candidate parent
     under *span* through intermediate network spans, closing longer
-    cycles, so the whole ancestor chain is walked.
+    cycles, so the whole ancestor chain is walked — for at most
+    ``len(by_id)`` hops: a longer walk is a cycle elsewhere; don't join.
     """
     target = span.span_id
-    seen: set[int] = set()
+    lookup = by_id.get
     current: Optional[Span] = parent
-    while current is not None:
+    for _hop in range(len(by_id) + 1):
+        if current is None:
+            return False
         if current.span_id == target:
             return True
-        if current.span_id in seen:
-            return False  # pre-existing cycle elsewhere; don't join it
-        seen.add(current.span_id)
-        parent_id = current.parent_id
-        current = by_id.get(parent_id) if parent_id is not None else None
+        current = lookup(current.parent_id)  # roots: by_id has no None key
     return False
 
 
-def _message_groups(spans: list[Span]) -> dict[tuple, list[Span]]:
-    """Group spans observing the *same message* on the same flow.
-
-    The grouping key is (flow, request first-byte sequence): L2/3/4
-    forwarding preserves it, so the client span, every capture-point span,
-    and the server span of one request/response exchange share it.
-    """
-    groups: dict[tuple, list[Span]] = defaultdict(list)
-    for span in spans:
-        if span.flow_key is not None and span.req_tcp_seq is not None:
-            groups[(span.flow_key, span.req_tcp_seq)].append(span)
-    return groups
-
-
-def _chain_message_groups(spans: list[Span]) -> None:
+def _chain_message_groups(ordered: list[Span]) -> None:
     """Rules 1–4: inter-component chaining along the network path.
 
-    Within one message group:
+    Spans observing the *same message* on the same flow group under
+    (flow, request first-byte sequence): L2/3/4 forwarding preserves it,
+    so the client span, every capture-point span, and the server span of
+    one request/response exchange share it.  Within one message group:
       R1  first network span          ← client-side eBPF span
       R2  network span at path index i ← network span at index i-1
       R3  server-side eBPF span        ← last network span
       R4  server-side eBPF span        ← client-side eBPF span (no taps)
+    Members keep the canonical order of *ordered*: the first eBPF
+    client/server span seen is the earliest, smallest id.
     """
-    for members in _message_groups(spans).values():
-        client = _pick(members, SpanSide.CLIENT)
-        server = _pick(members, SpanSide.SERVER)
-        nets = sorted((span for span in members
-                       if span.side is SpanSide.NETWORK),
-                      key=lambda span: (span.path_index, span.start_time,
-                                        span.span_id))
-        if server is not None and client is not None:
-            if (server.resp_tcp_seq is not None
-                    and client.resp_tcp_seq is not None
-                    and server.resp_tcp_seq != client.resp_tcp_seq):
-                # Same request seq but different response seq: not the
-                # same exchange; refuse to chain.
-                server = None
+    groups: dict[tuple, list[Span]] = defaultdict(list)
+    for span in ordered:
+        if span.flow_key is not None and span.req_tcp_seq is not None:
+            groups[(span.flow_key, span.req_tcp_seq)].append(span)
+    nets: list[Span] = []
+    for members in groups.values():
+        if len(members) < 2:
+            continue  # nothing to chain a lone observation to
+        client = server = None
+        nets.clear()
+        for span in members:
+            side = span.side
+            if side is SpanSide.NETWORK:
+                nets.append(span)
+            elif span.kind in EBPF_KINDS:
+                if side is SpanSide.CLIENT:
+                    if client is None:
+                        client = span
+                elif side is SpanSide.SERVER and server is None:
+                    server = span
+        if len(nets) > 1:
+            # Only a group that crossed several capture points sorts,
+            # those few spans; stable, so ties stay in canonical order.
+            nets.sort(key=_PATH_INDEX)  # lint: ok
+        if (server is not None and client is not None
+                and server.resp_tcp_seq is not None
+                and client.resp_tcp_seq is not None
+                and server.resp_tcp_seq != client.resp_tcp_seq):
+            # Same request seq but different response seq: not the
+            # same exchange; refuse to chain.
+            server = None
         previous = client
         for net in nets:
             if previous is not None and net.parent_id is None:
@@ -217,15 +233,6 @@ def _chain_message_groups(spans: list[Span]) -> None:
         if server is not None and previous is not None \
                 and server.parent_id is None and previous is not server:
             server.parent_id = previous.span_id
-
-
-def _pick(members: list[Span], side: SpanSide) -> Optional[Span]:
-    candidates = [span for span in members if span.side is side
-                  and span.kind in (SpanKind.SYSCALL, SpanKind.UPROBE)]
-    if not candidates:
-        return None
-    # Deterministic choice: earliest start, then smallest id.
-    return min(candidates, key=lambda span: (span.start_time, span.span_id))
 
 
 def _apply_app_rules(spans: list[Span], by_id: dict[int, Span]) -> None:
@@ -254,8 +261,7 @@ def _apply_app_rules(spans: list[Span], by_id: dict[int, Span]) -> None:
         enclosing = _tightest_enclosing(
             span, spans,
             lambda candidate: (candidate.side is SpanSide.SERVER
-                               and candidate.kind in (SpanKind.SYSCALL,
-                                                      SpanKind.UPROBE)
+                               and candidate.kind in EBPF_KINDS
                                and candidate.host == span.host
                                and candidate.pid == span.pid))
         if enclosing is not None \
@@ -263,7 +269,7 @@ def _apply_app_rules(spans: list[Span], by_id: dict[int, Span]) -> None:
             span.parent_id = enclosing.span_id
     for span in spans:
         if (span.parent_id is not None or span.side is not SpanSide.CLIENT
-                or span.kind not in (SpanKind.SYSCALL, SpanKind.UPROBE)):
+                or span.kind not in EBPF_KINDS):
             continue
         enclosing = _tightest_enclosing(
             span, app_spans,
@@ -285,28 +291,22 @@ def _apply_intra_component_rules(spans: list[Span],
           X-Request-ID on the same host+pid (cross-thread association)
       R10 server-side eBPF span with no inter-component parent stays a
           root (external caller)
+    Of several server spans carrying one key the canonically first is
+    the parent: ``setdefault`` over the canonical order.
     """
-    def _keep_canonical(table: dict, key, span: Span) -> None:
-        existing = table.get(key)
-        if existing is None or ((span.start_time, span.span_id)
-                                < (existing.start_time,
-                                   existing.span_id)):
-            table[key] = span
-
     servers_by_systrace: dict[int, Span] = {}
     servers_by_xreq: dict[tuple, Span] = {}
     for span in spans:
         if span.side is not SpanSide.SERVER:
             continue
         if span.systrace_id is not None:
-            _keep_canonical(servers_by_systrace, span.systrace_id, span)
+            servers_by_systrace.setdefault(span.systrace_id, span)
         if span.x_request_id:
-            _keep_canonical(servers_by_xreq,
-                            (span.host, span.pid, span.x_request_id),
-                            span)
+            servers_by_xreq.setdefault(
+                (span.host, span.pid, span.x_request_id), span)
     for span in spans:
         if (span.parent_id is not None or span.side is not SpanSide.CLIENT
-                or span.kind not in (SpanKind.SYSCALL, SpanKind.UPROBE)):
+                or span.kind not in EBPF_KINDS):
             continue
         parent = None
         if span.systrace_id is not None:
@@ -336,26 +336,23 @@ def _apply_queue_relay_rules(spans: list[Span],
       R11  broker-side deliver/push span (client side, the broker
            pushing to a consumer) ← broker-side publish span (server
            side, the producer's message arriving) with the same
-           (protocol, resource, message id) and an earlier start.
+           (protocol, resource, message id) and an earlier start —
+           the canonically first such publish.
     """
     publishes: dict[tuple, Span] = {}
     for span in spans:
         if (span.side is SpanSide.SERVER and span.message_id is not None
-                and span.protocol in ("amqp", "kafka", "mqtt")):
-            key = (span.protocol, span.resource, span.message_id)
-            existing = publishes.get(key)
-            if existing is None or ((span.start_time, span.span_id)
-                                    < (existing.start_time,
-                                       existing.span_id)):
-                publishes[key] = span
+                and span.protocol in QUEUE_RELAY_PROTOCOLS):
+            publishes.setdefault(
+                (span.protocol, span.resource, span.message_id), span)
     for span in spans:
         if (span.parent_id is not None
                 or span.side is not SpanSide.CLIENT
                 or span.message_id is None
-                or span.protocol not in ("amqp", "kafka", "mqtt")):
+                or span.protocol not in QUEUE_RELAY_PROTOCOLS):
             continue
-        key = (span.protocol, span.resource, span.message_id)
-        publish = publishes.get(key)
+        publish = publishes.get(
+            (span.protocol, span.resource, span.message_id))
         if (publish is not None and publish is not span
                 and publish.start_time <= span.start_time
                 and not _creates_cycle(span, publish, by_id)):

@@ -96,13 +96,6 @@ class AssociationFilter:
         keys, self._pending_keys = self._pending_keys, []
         return ids, keys
 
-    def tagged_keys(self) -> list[tuple]:
-        """Every key currently in the filter, in tagged form."""
-        keys: list[tuple] = []
-        for tag, axis in self._AXES.items():
-            keys.extend((tag, value) for value in getattr(self, axis))
-        return keys
-
 
 class SpanStore:
     """In-memory indexed span storage with an incremental trace index."""
@@ -131,9 +124,9 @@ class SpanStore:
             "ot": self._by_ot,
             "mq": self._by_mq,
         }
-        #: sorted main run of (start_time, span_id), extended from the
-        #: tail by the time commit.
-        self._time_index: list[tuple[float, int]] = []
+        #: sorted main run of (start_time, span_id, span), extended from
+        #: the tail by the time commit; ids are unique, spans not compared.
+        self._time_index: list[tuple[float, int, Span]] = []
         #: spans inserted but not yet indexed.  Two cursors track how far
         #: each commit pass has consumed it; once both passes catch up,
         #: the tail is emptied.
@@ -322,7 +315,8 @@ class SpanStore:
         start = self._time_committed
         if start == len(tail):
             return
-        entries = [(span.start_time, span.span_id) for span in tail[start:]]
+        entries = [(span.start_time, span.span_id, span)
+                   for span in tail[start:]]
         entries.sort()
         main = self._time_index
         in_order = not main or main[-1] <= entries[0]
@@ -464,22 +458,28 @@ class SpanStore:
 
     def component_spans(self, span_id: int) -> list[Span]:
         """Fast path: every span in *span_id*'s trace component."""
-        spans_map = self._spans
-        return [spans_map[member]
-                for member in self.component_ids(span_id)]
+        return self.spans_of(self.component_ids(span_id))
+
+    def spans_of(self, span_ids: Iterable[int]) -> list[Span]:
+        """The stored spans with these ids (``KeyError`` on a stranger);
+        the sharded store asks the shard owning a local component."""
+        return list(map(self._spans.__getitem__, span_ids))
 
     # -- span-list queries (Fig 15) -----------------------------------------
+
+    def time_range(self, start: float, end: float) -> list[tuple]:
+        """The time run's sorted ``(start_time, span_id, span)``
+        entries with start_time in [start, end), as one slice."""
+        self._commit_time_index()
+        index = self._time_index
+        return index[bisect.bisect_left(index, (start, -1)):
+                     bisect.bisect_left(index, (end, -1))]
 
     def span_list(self, start: float, end: float,
                   predicate: Optional[Callable[[Span], bool]] = None
                   ) -> list[Span]:
         """Spans with start_time in [start, end), optionally filtered."""
-        self._commit_time_index()
-        lo = bisect.bisect_left(self._time_index, (start, -1))
-        hi = bisect.bisect_left(self._time_index, (end, -1))
-        spans_map = self._spans
-        spans = [spans_map[span_id]
-                 for _start, span_id in self._time_index[lo:hi]]
+        spans = [entry[2] for entry in self.time_range(start, end)]
         if predicate is not None:
             spans = [span for span in spans if predicate(span)]
         return spans

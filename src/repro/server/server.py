@@ -248,12 +248,11 @@ class DeepFlowServer:
         """
         trace = self.assembler.assemble(start_span_id,
                                         use_index=use_index)
-        for span in trace:
-            vpc = span.tags.get("vpc")
-            ip = span.tags.get("ip")
-            if vpc is not None and ip is not None:
-                # Query-time join of self-defined labels (step ⑧).
-                span.tags.update(self.tags.custom_tags(vpc, ip))
+        custom = self.tags.custom_tag_table()
+        if custom:  # query-time join of self-defined labels (step ⑧)
+            for span in trace.spans:
+                tags = span.tags
+                tags.update(custom.get((tags.get("vpc"), tags.get("ip")), ()))
         return trace
 
     def correlated_metrics(self, trace: Trace,
@@ -268,12 +267,6 @@ class DeepFlowServer:
 
     # -- tag-grouped analytics (§3.4) ------------------------------------
 
-    def _ranged_spans(self, start: float, end: float) -> list[Span]:
-        """One time-ranged scan shared by the tag-grouped analytics
-        (open-ended ranges included — the time index handles ``inf``
-        directly, no sentinel clamping needed)."""
-        return self.store.span_list(start, end)
-
     def latency_by_tag(self, tag_key: str, *,
                        side: SpanSide = SpanSide.SERVER,
                        start: float = 0.0,
@@ -285,7 +278,7 @@ class DeepFlowServer:
         the invocations are time-consuming".
         """
         groups: dict[str, list[float]] = {}
-        for span in self._ranged_spans(start, end):
+        for span in self.store.span_list(start, end):
             if span.side is not side:
                 continue
             tag_value = span.tags.get(tag_key)
@@ -309,7 +302,7 @@ class DeepFlowServer:
         """Fraction of error spans per tag value (any side)."""
         totals: dict[str, int] = {}
         errors: dict[str, int] = {}
-        for span in self._ranged_spans(start, end):
+        for span in self.store.span_list(start, end):
             tag_value = span.tags.get(tag_key)
             if tag_value is None:
                 continue
@@ -325,7 +318,7 @@ class DeepFlowServer:
                      start: float = 0.0,
                      end: float = float("inf")) -> Optional[Span]:
         """The user's typical starting point: a time-consuming invocation."""
-        spans = [span for span in self._ranged_spans(start, end)
+        spans = [span for span in self.store.span_list(start, end)
                  if span.side is side]
         if not spans:
             return None

@@ -23,7 +23,10 @@ within one window and windows can later seal into immutable runs.  A
 tenant label, when given, salts the hash so tenants spread independently.
 The router is stateless — no global span→shard map is maintained; point
 lookups probe the shards (queries are orders of magnitude rarer than
-inserts, and keeping ingest memory flat is the point of sharding).
+inserts, and keeping ingest memory flat is the point of sharding).  A
+trace query probes once per *local component* it touches, whose owning
+shard reads the spans from its own map: how finely routing cuts a trace
+(≈16 local components per 38 spans, 4 shards) bounds a query's cost.
 
 Each shard keeps its own write-optimized memtable discipline: routing a
 batch costs one hash per span, and the shard-side insert stays register
@@ -40,13 +43,13 @@ stable hash of the key into *boundary partitions* (the model of a
 hash-partitioned association-key service), and each partition's table
 maps key → first owning (shard, span).  A key observed from a second
 shard contributes one link to a small cross-shard union-find over span
-ids.  ``component_ids`` then runs scatter-gather: fetch the start
-span's per-shard component, follow boundary links to components on
-other shards, and repeat to the fixed point.  The merged component
-provably equals what a single unsharded store returns (the boundary
-links restore exactly the cross-shard shared-key edges; the property
-tests in tests/test_trace_index_properties.py hold the two in lock
-step for shard counts up to 8).
+ids.  A trace query then runs scatter-gather: fetch the start span's
+per-shard component, follow each boundary-forest component it touches
+(once) to components on other shards, and repeat to the fixed point.
+The merged component provably equals what a single unsharded store
+returns (the boundary links restore exactly the cross-shard shared-key
+edges; the property tests in tests/test_trace_index_properties.py hold
+the two in lock step for shard counts up to 8).
 
 The seal/merge phases are exposed separately (:meth:`seal_shard`,
 :meth:`probe_partition`, :meth:`apply_boundary_links`) so the scaling
@@ -57,9 +60,9 @@ they need, same as the unsharded store).
 
 from __future__ import annotations
 
-import heapq
 import marshal
 import zlib
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from repro.core.metrics import Counter, PipelineMetrics
@@ -321,9 +324,7 @@ class ShardedSpanStore:
         for partition in range(self.partition_count):
             links = self.probe_partition(partition)
             if links:
-                self.boundary.link_batch(links)
-                self.boundary_links += len(links)
-                self._m_boundary.inc(len(links))
+                self.apply_boundary_links(links)
 
     def flush(self) -> None:
         """Force all deferred maintenance: shard commits, boundary seal,
@@ -377,20 +378,18 @@ class ShardedSpanStore:
 
     # -- point lookups -----------------------------------------------------
 
-    def get(self, span_id: int) -> Optional[Span]:
-        """Fetch a span by id, probing the shards."""
-        for shard in self.shards:
-            span = shard.get(span_id)
-            if span is not None:
-                return span
-        return None
-
     def shard_of(self, span_id: int) -> Optional[int]:
-        """Which shard holds *span_id* (None if unknown)."""
+        """Which shard holds *span_id* (None if unknown): the probe a
+        router with no span → shard map pays on every point lookup."""
         for index, shard in enumerate(self.shards):
             if shard.get(span_id) is not None:
                 return index
         return None
+
+    def get(self, span_id: int) -> Optional[Span]:
+        """Fetch a span by id, probing the shards."""
+        index = self.shard_of(span_id)
+        return None if index is None else self.shards[index].get(span_id)
 
     def all_spans(self) -> list[Span]:
         """Every stored span across all shards."""
@@ -401,52 +400,47 @@ class ShardedSpanStore:
 
     # -- Algorithm 1 support (scatter-gather) ------------------------------
 
-    def component_ids(self, span_id: int) -> set[int]:
-        """The span's whole trace component, merged across shards.
+    def component_spans(self, span_id: int) -> list[Span]:
+        """Every span in *span_id*'s whole trace component, merged
+        across shards, each read from the shard that owns it.
 
-        Scatter-gather fixed point: start with the owning shard's local
-        union-find component, then follow boundary links to components
-        on other shards until no new span appears.  Cost is O(result)
-        dict probes — independent of total store size, preserving the
-        flat Fig-15 query-delay curve under sharding.
+        Scatter-gather fixed point: take the owning shard's local
+        union-find component, follow each boundary-forest component a
+        member belongs to onto the other shards, until no new span
+        appears.  One shard probe per local component, one visit per
+        boundary component: independent of store size (flat Fig-15 curve).
         """
-        home = self._owning_store(span_id)
-        if home is None:
+        if self.shard_of(span_id) is None:
             raise KeyError(f"unknown span id {span_id}")
         self._ensure_traceable()
-        boundary = self.boundary
-        linked = boundary.linked_ids()
-        component = boundary.component
-        result: set[int] = set()
+        shards = self.shards
+        shard_of = self.shard_of
+        linked = self.boundary.linked_ids()
+        boundary_component = self.boundary.component
+        spans: list[Span] = []
+        found: set[int] = set()
+        crossed: set[int] = set()  # boundary components already followed
         stack = [span_id]
-        store = home
         while stack:
             current = stack.pop()
-            if current in result:
+            if current in found:
                 continue
-            if current != span_id:
-                store = self._owning_store(current)
-                if store is None:  # boundary rep of a foreign tenant? no:
-                    continue       # defensive — links only cite stored ids
-            local = store.component_ids(current)
-            result |= local
+            index = shard_of(current)
+            if index is None:  # defensive: links only cite stored ids
+                continue
+            local = shards[index].component_ids(current)
+            found |= local
+            spans += shards[index].spans_of(local)
             for member in local:
-                if member in linked:
-                    for other in component(member):
-                        if other not in result:
-                            stack.append(other)
-        return result
+                if member in linked and member not in crossed:
+                    others = boundary_component(member)
+                    crossed |= others
+                    stack.extend(others)
+        return spans
 
-    def component_spans(self, span_id: int) -> list[Span]:
-        """Every span in *span_id*'s merged cross-shard component."""
-        get = self.get
-        return [get(member) for member in self.component_ids(span_id)]
-
-    def _owning_store(self, span_id: int) -> Optional[SpanStore]:
-        for shard in self.shards:
-            if shard.get(span_id) is not None:
-                return shard
-        return None
+    def component_ids(self, span_id: int) -> set[int]:
+        """The id-only view of :meth:`component_spans`' walk."""
+        return {span.span_id for span in self.component_spans(span_id)}
 
     def search(self, assoc: AssociationFilter,
                tenant: Optional[str] = None) -> set[int]:
@@ -483,28 +477,24 @@ class ShardedSpanStore:
     def span_list(self, start: float, end: float,
                   predicate: Optional[Callable[[Span], bool]] = None,
                   tenant: Optional[str] = None) -> list[Span]:
-        """Spans with start_time in [start, end): k-way merge of the
-        shards' sorted time runs, optionally filtered by predicate
-        and/or tenant label."""
-        runs = [shard.span_list(start, end) for shard in self.shards]
-        runs = [run for run in runs if run]
-        if len(runs) == 1:
-            merged: Iterable[Span] = runs[0]
-        elif runs:
-            merged = heapq.merge(
-                *runs, key=lambda span: (span.start_time, span.span_id))
-        else:
-            merged = ()
+        """Spans with start_time in [start, end) in (start_time,
+        span_id) order, optionally filtered by predicate and/or tenant
+        label: the shards' sorted slices, concatenated in shard order
+        and merged by one sort (Timsort merges sorted runs in C)."""
+        merged: list[tuple[float, int, Span]] = []
+        for shard in self.shards:
+            merged += shard.time_range(start, end)
+        try:
+            merged = sorted(merged)
+        except TypeError:
+            # Two shards held different spans under one id (see
+            # ``insert_many``): the tie compared spans.  Lower shard first.
+            merged.sort(key=itemgetter(0, 1))
         if tenant is None and predicate is None:
-            return list(merged)
-        out: list[Span] = []
-        for span in merged:
-            if tenant is not None and span.tags.get("tenant") != tenant:
-                continue
-            if predicate is not None and not predicate(span):
-                continue
-            out.append(span)
-        return out
+            return [entry[2] for entry in merged]
+        return [span for _start, _id, span in merged
+                if (tenant is None or span.tags.get("tenant") == tenant)
+                and (predicate is None or predicate(span))]
 
     # -- observability -----------------------------------------------------
 

@@ -320,7 +320,7 @@ class ContinuousAssembler:
     def finalize_pending(self) -> list[FinishedTrace]:
         """Parent-assemble and export every trace retired since the
         last call.  Kept out of the ``on_spans`` hot closure: the
-        parent-rule table sorts per phase, an O(n log n) pass that
+        parent-rule table sorts the trace, an O(n log n) pass that
         belongs on the per-trace cold path, not the per-span one."""
         pending = self._pending
         if not pending:
@@ -329,8 +329,7 @@ class ContinuousAssembler:
         exporter = self.exporter
         out: list[FinishedTrace] = []
         for live in pending:
-            assign_parents(live.spans)
-            trace = Trace(live.spans)
+            trace = Trace._from_ordered(assign_parents(live.spans))
             record = FinishedTrace(
                 trace=trace, key=live.key, opened_at=live.opened_at,
                 finished_at=live.finished_at, reason=live.finish_reason,

@@ -110,6 +110,13 @@ class TagRegistry:
         """Self-defined labels, joined in at query time (step ⑧)."""
         return dict(self._custom.get((vpc, ip), {}))
 
+    def custom_tag_table(self) -> dict[tuple[str, str], dict[str, str]]:
+        """The live ``(vpc, ip)`` → self-defined labels table, empty
+        until a custom tag is registered: what the query-time join reads
+        per span.  Shared, like :meth:`decoded_resource_tags` — copy out
+        of it (``dict.update``), never mutate or keep it."""
+        return self._custom
+
     def decode(self, encoded: dict[int, int]) -> dict[str, str]:
         """Int-encoded tags back to strings."""
         return {self.keys.lookup(k): self.values.lookup(v)

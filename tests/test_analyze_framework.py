@@ -407,6 +407,68 @@ def test_hot_path_covers_the_otlp_encoder_and_enrichment(tmp_path):
         report.findings
 
 
+def test_hot_path_covers_the_pull_read_path(tmp_path):
+    """The read-path seeds: what parent assignment did per message
+    group (a ``sorted()`` and a comprehension per group), what the
+    sharded read-out did per member (``self.get`` probing every shard)
+    and what ``trace()`` did per span (a dict copy) are findings now;
+    a ``# lint: ok`` with its reason keeps the one justified sort."""
+    root = _seed_tree(tmp_path, {
+        "server/assembler.py": '''
+            def _pick(members, side):
+                return min(m for m in members if m.side is side)
+
+
+            def _chain(groups):
+                for members in groups.values():
+                    client = [m for m in members if m.side == "c"]
+                    nets = sorted(members)
+                    members.sort()  # lint: ok — only multi-tap groups
+                    _pick(members, client)
+
+
+            def assign_parents(spans):
+                _chain({1: spans})
+            ''',
+        "server/sharding.py": '''
+            class ShardedSpanStore:
+                def component_ids(self, span_id):
+                    return {span_id}
+
+                def component_spans(self, span_id):
+                    out = []
+                    for member in self.component_ids(span_id):
+                        for shard in self.shards:
+                            out.append(self.shards[0].get(member))
+                    return out
+
+                def span_list(self, start, end):
+                    out = []
+                    for shard in self.shards:
+                        out.extend(shard.span_list(start, end))
+                        out.sort()
+                    return out
+            ''',
+        "server/server.py": '''
+            class DeepFlowServer:
+                def trace(self, span_id):
+                    spans = self.store.component_spans(span_id)
+                    for span in spans:
+                        span.tags.update(dict(self.custom))
+                    return spans
+            ''',
+    })
+    report = _analyze(root, ["hot-path"])
+    assert report.suppressed_count == 1
+    found = sorted((f.function.rsplit(".", 1)[-1], f.rule)
+                   for f in report.findings)
+    assert found == [("_chain", "hp-alloc-in-loop"),
+                     ("_chain", "hp-rescan-in-loop"),
+                     ("component_spans", "hp-attr-in-loop"),
+                     ("span_list", "hp-rescan-in-loop"),
+                     ("trace", "hp-alloc-in-loop")], report.findings
+
+
 # ---------------------------------------------------------------------------
 # The repo itself and the CLI
 
@@ -428,19 +490,3 @@ def test_cli_json_report_and_exit_code(tmp_path):
     assert payload["findings"] == []
     assert set(payload["checkers"]) == {
         "confinement", "discipline", "dissector-safety", "hot-path"}
-
-
-def test_legacy_lint_shim_reports_only_legacy_rules(tmp_path):
-    """tools/lint_repro.py keeps its historical surface: determinism and
-    layering only — the framework's newer rules stay out of it."""
-    from tools import lint_repro
-
-    source = textwrap.dedent('''
-        import time
-
-        def now(x):
-            assert x > 0
-            return time.time()
-        ''')
-    violations = lint_repro.lint_source(source, "agent/clock.py", "agent")
-    assert [v.rule for v in violations] == ["determinism"]

@@ -1,13 +1,14 @@
 """The determinism/layering lint, run as part of the tier-1 suite.
 
-``tools/lint_repro.py`` turns two DESIGN.md §5 rules into static checks:
-no wall-clock or unseeded randomness outside ``repro.sim``, and no
-layering violations (in particular no agent/server import of
-``repro.apps`` — the "no tracing back-channel" rule).  These tests (a)
-keep the shipped tree clean, and (b) pin the lint's detection behaviour
-so the invariants cannot silently rot.
+The *discipline* checker of ``tools.analyze`` turns two DESIGN.md §5
+rules into static checks: no wall-clock or unseeded randomness outside
+``repro.sim``, and no layering violations (in particular no agent/server
+import of ``repro.apps`` — the "no tracing back-channel" rule).  These
+tests (a) keep the shipped tree clean, and (b) pin the rules' detection
+behaviour so the invariants cannot silently rot.
 """
 
+import ast
 import shutil
 import subprocess
 import sys
@@ -16,24 +17,32 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 
-from tools.lint_repro import (  # noqa: E402
-    DEFAULT_ROOT,
-    lint_source,
-    lint_tree,
-)
+from tools.analyze import DEFAULT_ROOT, run_analysis  # noqa: E402
+from tools.analyze.checkers.discipline import lint_module  # noqa: E402
+from tools.analyze.findings import suppressed  # noqa: E402
 
-LINT_CLI = REPO_ROOT / "tools" / "lint_repro.py"
+LINT_CLI = [sys.executable, "-m", "tools.analyze", "--checkers",
+            "discipline"]
+
+
+def lint_source(source: str, path: str, package: str) -> list:
+    """The determinism/layering findings for one module's *source*;
+    *package* is its repro subpackage."""
+    lines = source.splitlines()
+    return [finding for finding in lint_module(
+                ast.parse(source, filename=path), path, package,
+                assert_rule=False)
+            if not suppressed(lines, finding.line)]
 
 
 class TestShippedTreeIsClean:
     def test_src_repro_has_no_violations(self):
-        violations = lint_tree(DEFAULT_ROOT)
+        violations = run_analysis(DEFAULT_ROOT, ["discipline"]).findings
         assert violations == [], "\n".join(str(v) for v in violations)
 
     def test_cli_exits_zero_on_shipped_tree(self):
         proc = subprocess.run(
-            [sys.executable, str(LINT_CLI)],
-            capture_output=True, text=True, cwd=REPO_ROOT)
+            LINT_CLI, capture_output=True, text=True, cwd=REPO_ROOT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -109,7 +118,7 @@ class TestSeededViolationTripsCLI:
             "import time\n\n\ndef now() -> float:\n"
             "    return time.time()\n", encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, str(LINT_CLI), str(seeded)],
+            [*LINT_CLI, str(seeded)],
             capture_output=True, text=True, cwd=REPO_ROOT)
         assert proc.returncode == 1
         assert "seeded_violation.py" in proc.stdout

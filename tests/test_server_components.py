@@ -256,6 +256,46 @@ class TestTrace:
         trace = Trace([orphan])
         assert trace.roots() == [orphan]
 
+    def test_children_come_in_canonical_order_as_fresh_lists(self):
+        root = span(start=0.0, end=9.0)
+        late = span(start=2.0, end=3.0)
+        early_b = span(start=1.0, end=2.0)
+        early_a = span(start=1.0, end=2.0)
+        early_a.span_id, early_b.span_id = sorted(
+            (early_a.span_id, early_b.span_id))
+        for child in (late, early_b, early_a):
+            child.parent_id = root.span_id
+        trace = Trace([late, early_b, root, early_a])
+        assert trace.children(root) == [early_a, early_b, late]
+        assert trace.children(late) == []
+        trace.children(root).clear()  # the caller's copy, not the map
+        assert trace.children(root) == [early_a, early_b, late]
+
+    def test_to_text_is_what_a_rescan_per_span_rendered(self):
+        spans = [span(start=float(i), end=20.0 - i, operation="GET",
+                      resource=f"/{i}") for i in range(8)]
+        for i, child in enumerate(spans[1:], start=1):
+            child.parent_id = spans[(i - 1) // 2].span_id
+        trace = Trace(list(reversed(spans)))
+
+        def walk(node, depth, lines):
+            lines.append("  " * depth + "- " + node.summary())
+            for child in trace.spans:
+                if child.parent_id == node.span_id:
+                    walk(child, depth + 1, lines)
+            return lines
+
+        assert trace.to_text() == "\n".join(walk(spans[0], 0, []))
+
+    def test_public_constructor_sorts_the_private_one_adopts(self):
+        a, b = span(start=1.0), span(start=0.0)
+        assert Trace([a, b]).spans == [b, a]
+        ordered = assign_parents([a, b])
+        adopted = Trace._from_ordered(ordered)
+        assert adopted.spans is ordered
+        assert adopted.spans == [b, a]
+        assert adopted.span(a.span_id) is a
+
 
 class TestTagRegistry:
     def test_register_and_resolve(self):
@@ -352,6 +392,51 @@ class TestEnrichment:
         server.ingest_spans([unknown, bare])
         assert unknown.tags == {"vpc": "v", "ip": "10.9.9.9"}
         assert bare.tags == {}
+
+
+class TestQueryTimeJoin:
+    """Figure 8 step ⑧: self-defined labels are joined by ``trace()``,
+    never stored."""
+
+    @staticmethod
+    def _server(shards):
+        server = DeepFlowServer(shards=shards)
+        server.register_resource_tags("v", "10.0.0.1", {"pod": "p1"})
+        spans = [Span(span_id=i, kind=SpanKind.SYSCALL,
+                      side=SpanSide.SERVER, start_time=float(i),
+                      end_time=i + 1.0, systrace_id=7,
+                      tags={"vpc": "v", "ip": ip})
+                 for i, ip in ((1, "10.0.0.1"), (2, "10.0.0.2"))]
+        server.ingest_spans(spans)
+        return server, spans
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_custom_tag_registered_after_ingest_is_joined(self, shards):
+        server, (one, two) = self._server(shards)
+        server.register_resource_tags("v", "10.0.0.1",
+                                      {"version": "v2", "team": "core"})
+        trace = server.trace(2)
+        assert [s.span_id for s in trace] == [1, 2]
+        assert one.tags == {"vpc": "v", "ip": "10.0.0.1", "pod": "p1",
+                            "version": "v2", "team": "core"}
+        assert two.tags == {"vpc": "v", "ip": "10.0.0.2"}
+        one.tags["version"] = "mutated"
+        assert server.tags.custom_tags("v", "10.0.0.1") == {
+            "version": "v2", "team": "core"}
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_no_custom_tag_means_no_join_and_no_lookup(self, shards,
+                                                       monkeypatch):
+        server, spans = self._server(shards)
+        before = [dict(s.tags) for s in spans]
+
+        def no_copy(*_args):
+            raise AssertionError("trace() copied a custom-tag dict")
+
+        monkeypatch.setattr(TagRegistry, "custom_tags", no_copy)
+        assert not server.tags.custom_tag_table()
+        assert len(server.trace(1)) == 2
+        assert [s.tags for s in spans] == before
 
 
 def _tag_row(i):

@@ -12,9 +12,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.span import Span, SpanKind, SpanSide
 from repro.server.database import SpanStore
+from repro.server.server import DeepFlowServer
 from repro.server.sharding import (MAX_SHARDS, ShardedSpanStore,
                                    _partition_hash)
 
@@ -123,6 +126,126 @@ _TAGGED_KEYS = [
     ("mq", ("amqp", "orders", 17)),
     ("mq", ("amqp", None, 1.5)),
 ]
+
+
+class TestComponentReadOut:
+    @pytest.mark.parametrize("flushed", [False, True])
+    def test_unknown_id_raises_before_and_after_a_flush(self, flushed):
+        store = ShardedSpanStore(4, window=0.5)
+        store.insert_many([make_span(i, xreq="shared", start=0.3 * i)
+                           for i in range(12)])
+        if flushed:
+            store.flush()
+        for query in (store.component_spans, store.component_ids):
+            with pytest.raises(KeyError):
+                query(999)
+        assert ({s.span_id for s in store.component_spans(3)}
+                == store.component_ids(3) == set(range(12)))
+
+
+@st.composite
+def labeled_batches(draw):
+    """Spans on a coarse time grid (equal start times are the rule),
+    cut into batches that arrive in any order, each under a tenant
+    label or none."""
+    count = draw(st.integers(min_value=1, max_value=40))
+    ids = draw(st.permutations(range(count)))
+    spans = [make_span(span_id,
+                       systrace=draw(st.integers(0, 6)),
+                       start=draw(st.sampled_from([0.0, 0.5, 1.0, 1.5,
+                                                   2.0, 61.0])))
+             for span_id in ids]
+    batches = []
+    while spans:
+        size = draw(st.integers(min_value=1, max_value=len(spans)))
+        batches.append((spans[:size],
+                        draw(st.sampled_from([None, "acme", "globex"]))))
+        spans = spans[size:]
+    return batches
+
+
+class TestSpanListMerge:
+    @settings(max_examples=120, deadline=None)
+    @given(batches=labeled_batches(),
+           shards=st.integers(min_value=1, max_value=8),
+           window=st.sampled_from([0.5, 60.0]),
+           bounds=st.sampled_from([(0.0, float("inf")), (0.5, 2.0),
+                                   (1.0, 1.0), (2.0, 100.0)]),
+           tenant=st.sampled_from([None, "acme"]),
+           odd_only=st.booleans(),
+           query_between=st.booleans())
+    def test_sharded_span_list_is_the_single_store_list(
+            self, batches, shards, window, bounds, tenant, odd_only,
+            query_between):
+        """Same spans, same order as one unsharded store — whatever the
+        shard count, batch order, ties on start_time and filters."""
+        single = SpanStore()
+        sharded = ShardedSpanStore(shards, window=window)
+        for batch, label in batches:
+            sharded.insert_many(batch, tenant=label)
+            single.insert_many(batch)
+            if query_between:  # commit time runs batch by batch
+                sharded.span_list(*bounds)
+                single.span_list(*bounds)
+        predicate = (lambda span: span.span_id % 2 == 1) if odd_only \
+            else None
+
+        def wanted(span):
+            return ((tenant is None or span.tags.get("tenant") == tenant)
+                    and (predicate is None or predicate(span)))
+
+        got = sharded.span_list(*bounds, predicate=predicate,
+                                tenant=tenant)
+        expected = single.span_list(*bounds, predicate=wanted)
+        assert [id(span) for span in got] == [id(span)
+                                              for span in expected]
+        assert expected == sorted(
+            expected, key=lambda span: (span.start_time, span.span_id))
+
+    def test_slowest_span_breaks_duration_ties_alike(self):
+        """``max`` keeps the first of equal durations, so the tie goes
+        to the span ``span_list`` puts first — on any shard count."""
+        def spans():
+            # Binary fractions: half the spans last exactly 0.5 s.
+            return [Span(span_id=i, kind=SpanKind.SYSCALL,
+                         side=SpanSide.CLIENT, systrace_id=i,
+                         start_time=(i * 7) % 5 * 0.25,
+                         end_time=(i * 7) % 5 * 0.25 + 0.25 * (1 + i % 2))
+                    for i in range(40)]
+
+        picks = []
+        for shards in (1, 4):
+            server = DeepFlowServer(shards=shards)
+            server.ingest_spans(spans())
+            picks.append(server.slowest_span().span_id)
+        assert picks == [5, 5]  # earliest start (0.0), then smallest id
+
+    def test_one_id_on_two_shards_neither_raises_nor_reorders(self):
+        """Two *different* spans may reuse one id on two shards
+        undetected; the merge must not fall through to comparing them.
+        They come out lower shard first, as the k-way merge had it."""
+        server = DeepFlowServer(shards=4)
+        store = server.store
+        twin_a = make_span(5, systrace=1, start=1.0)
+        twin_b = next(
+            candidate for candidate in (
+                make_span(5, systrace=key, start=1.0, resource="other")
+                for key in range(2, 50))
+            if store._route(candidate, 0) != store._route(twin_a, 0))
+        assert twin_a != twin_b
+        others = [make_span(10 + i, systrace=100 + i, start=0.5 + 0.1 * i)
+                  for i in range(12)]
+        store.insert_many([twin_b, *others, twin_a])
+        listed = server.span_list(0.0, float("inf"))
+        assert [s.span_id for s in listed] == [
+            s.span_id for s in sorted(
+                [twin_a, twin_b, *others],
+                key=lambda s: (s.start_time, s.span_id))]
+        twins = [s for s in listed if s.span_id == 5]
+        assert [store._route(s, 0) for s in twins] == sorted(
+            store._route(s, 0) for s in twins)
+        assert {id(s) for s in twins} == {id(twin_a), id(twin_b)}
+        assert server.slowest_span() is listed[0]
 
 
 class TestPartitionHash:

@@ -197,7 +197,13 @@ def test_sharded_components_match_unsharded(spans, shards, window,
         merged = sharded.component_ids(span.span_id)
         assert merged == single.component_ids(span.span_id)
         assert merged == _oracle_component(spans, span.span_id)
-    # The time-ordered view survives sharding too (k-way merge).
+        # The read-out is the same walk: each member once, the very
+        # object its owning shard stores.
+        found = sharded.component_spans(span.span_id)
+        assert len(found) == len(merged)
+        assert ({id(member) for member in found}
+                == {id(sharded.get(span_id)) for span_id in merged})
+    # The time-ordered view survives sharding too (concat and sort).
     assert ([s.span_id for s in sharded.span_list(0.0, float("inf"))]
             == [s.span_id for s in single.span_list(0.0, float("inf"))])
 

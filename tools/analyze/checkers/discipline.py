@@ -1,8 +1,7 @@
 """Discipline checker: determinism, layering, and runtime asserts.
 
-Re-implements the original ``tools/lint_repro.py`` rules on the shared
-engine (same rule ids, same message text — the back-compat shim maps
-these findings straight back to ``Violation`` objects) and adds one new
+The determinism and layering rules of the original standalone lint
+(same rule ids, same message text) on the shared engine, plus one newer
 rule:
 
 * ``determinism`` — wall-clock / RNG calls outside ``repro.sim``, and
@@ -18,8 +17,8 @@ rule:
   never scanned.)
 
 The per-module entry point :func:`lint_module` operates on a parsed
-tree so the shim can run it on arbitrary source strings without
-building a :class:`~tools.analyze.project.Project`.
+tree, so ``tests/test_lint_invariants.py`` can run the rules on source
+strings without building a :class:`~tools.analyze.project.Project`.
 """
 
 from __future__ import annotations

@@ -49,8 +49,12 @@ CHECKER_NAME = "hot-path"
 
 #: class name → method-name predicates seeding the hot closure.
 HOT_SEEDS: dict[str, tuple[str, ...]] = {
-    "SpanStore": ("insert", "insert_many"),
-    "ShardedSpanStore": ("insert", "insert_many", "route_batches"),
+    # Ingest, and the pull read path: a trace query walks one loop per
+    # local component and a range read one per shard, so a per-member
+    # shard probe or a per-shard sort there is a query-rate regression.
+    "SpanStore": ("insert", "insert_many", "span_list"),
+    "ShardedSpanStore": ("insert", "insert_many", "route_batches",
+                         "component_spans", "component_ids", "span_list"),
     "TraceGraphIndex": ("add_span", "add", "link", "link_batch", "find"),
     "DeepFlowAgent": ("poll", "_process_event", "_dispatch_slow",
                       "_process_coroutine_event", "_process_close_event",
@@ -63,7 +67,8 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     "ContinuousAssembler": ("on_spans",),
     # Enrichment runs once per ingested span: one memo lookup and a
     # dict.update, where it used to rebuild the decoded tag dict.
-    "DeepFlowServer": ("_enrich",),
+    # trace() is the query entry: its per-span join must not copy.
+    "DeepFlowServer": ("_enrich", "trace"),
 }
 
 #: Module-level functions seeding the hot closure, by qualified name.
@@ -71,8 +76,13 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
 #: ``OtlpStreamExporter.export_trace``, whose closure also holds the
 #: schema decoder behind ``validate=True`` — error-message f-strings in
 #: loops, by design, and off in every throughput run.
+#: ``assign_parents`` is shared by the pull path (every ``trace()``) and
+#: the push path (every retired trace): its rules loop over the spans
+#: of one trace in canonical order, so a ``sorted()`` or comprehension
+#: per message group there taxes every query and every export.
 HOT_FUNCTION_SEEDS: tuple[str, ...] = (
     "repro.core.export.trace_to_otlp_json",
+    "repro.server.assembler.assign_parents",
 )
 
 #: class name → methods whose ENTIRE body must be allocation-free: the

@@ -26,8 +26,8 @@ from typing import Iterable, Optional
 #: discipline regressions (hot-path waste); ``info`` is advisory.
 SEVERITIES = ("info", "warn", "error")
 
-#: The suppression marker, shared with the original ``lint_repro`` tool
-#: so one annotation syntax serves every static check in the repo.
+#: The suppression marker: one annotation syntax serves every static
+#: check in the repo.
 SUPPRESS_MARKER = "lint: ok"
 
 
