@@ -279,11 +279,12 @@ class HookRegistry:
         programs = self._hooks.get(hook_name)
         if not programs:
             return 0.0
+        self.total_firings += len(programs)
         cost_ns = 0.0
         for program in programs:
-            self.total_firings += 1
             limiter = program.rate_limiter
-            if limiter is not None and not limiter.allow(self._sim.now):
+            if limiter is not None and not limiter.allow(
+                    self._sim.now):  # lint: ok — throttled programs only
                 program.throttled += 1
                 self.total_throttled += 1
                 cost_ns += (EMPTY_PROGRAM_LATENCY_NS

@@ -20,6 +20,7 @@ from repro.kernel.ebpf import HookRegistry
 from repro.kernel.process import Coroutine, OSProcess, Thread
 from repro.kernel.sockets import FiveTuple, Socket, SocketState
 from repro.kernel.syscalls import (
+    HOOK_NAMES,
     CoroutineEvent,
     Direction,
     SocketCloseEvent,
@@ -44,6 +45,9 @@ UPROBE_TRAP_NS = 6153.0
 PAYLOAD_CAPTURE_BYTES = 4096
 
 NS = 1e-9
+
+INGRESS = Direction.INGRESS
+EGRESS = Direction.EGRESS
 
 
 class KernelError(Exception):
@@ -164,8 +168,7 @@ class Kernel:
             return None
         sock = Socket(self.sim, self.network.alloc_socket_id(),
                       client_tuple.reversed(), listener.process.pid)
-        self._install_socket(listener.process, sock)
-        listener.enqueue(sock)
+        listener.enqueue(self._install_socket(listener.process, sock), sock)
         return sock
 
     def connect(self, thread: Thread, dst_ip: str,
@@ -188,12 +191,12 @@ class Kernel:
 
     def accept(self, thread: Thread, listener: "ListenQueue") -> Generator:
         """Block until a connection arrives; returns the new fd."""
-        sock = yield listener.queue.get()
-        # fd was installed at creation time; find it.
-        for fd, installed in self._fd_tables[listener.process.pid].items():
-            if installed is sock:
-                return fd
-        raise KernelError("accepted socket missing from fd table")
+        # The fd was installed when the connection arrived and travels
+        # with the socket through the backlog.
+        fd, sock = yield listener.queue.get()
+        if self._fd_tables[listener.process.pid].get(fd) is not sock:
+            raise KernelError("accepted socket missing from fd table")
+        return fd
 
     def close(self, thread: Thread, fd: int) -> None:
         """Close and release the resource."""
@@ -263,30 +266,6 @@ class Kernel:
 
     # -- generic syscall paths ----------------------------------------------
 
-    def _context(self, thread: Thread, sock: Socket, abi: str,
-                 direction: Direction, is_enter: bool, *, tcp_seq: int = 0,
-                 byte_len: int = 0, payload: bytes = b"",
-                 ret: int = 0,
-                 coroutine_id: Optional[int] = None) -> SyscallContext:
-        return SyscallContext(
-            pid=thread.pid,
-            tid=thread.tid,
-            coroutine_id=(coroutine_id if coroutine_id is not None
-                          else thread.coroutine_id),
-            process_name=thread.process.name,
-            socket_id=sock.socket_id,
-            five_tuple=sock.five_tuple,
-            tcp_seq=tcp_seq,
-            timestamp=self.sim.now,
-            direction=direction,
-            is_enter=is_enter,
-            abi=abi,
-            byte_len=byte_len,
-            payload=payload[:PAYLOAD_CAPTURE_BYTES],
-            ret=ret,
-            host_name=self.host_name,
-        )
-
     def _sys_ingress(self, thread: Thread, abi: str, fd: int,
                      max_bytes: int) -> Generator:
         """Blocking receive.  Returns the bytes read (b'' at EOF).
@@ -297,34 +276,42 @@ class Kernel:
         """
         sock = self.socket_for_fd(thread, fd)
         self.syscall_count += 1
-        # Snapshot the coroutine identity at entry: by the time a blocking
-        # read returns, the thread pointer may name a different coroutine.
+        # Identity is read once per syscall and both contexts are built
+        # positionally (SyscallContext field order).  The coroutine id is
+        # a snapshot: by the time a blocking read returns, the thread
+        # pointer may name a different coroutine — only a thread that
+        # entered outside any coroutine reports the one current at exit.
+        pid = thread.pid
+        tid = thread.tid
         coroutine_id = thread.coroutine_id
-        cost_ns = SYSCALL_BASE_NS / 2
-        cost_ns += self.hooks.fire(
-            f"sys_enter_{abi}",
-            self._context(thread, sock, abi, Direction.INGRESS, True,
-                          coroutine_id=coroutine_id))
-        yield cost_ns * NS
+        process_name = thread.process.name
+        socket_id = sock.socket_id
+        five_tuple = sock.five_tuple
+        host_name = self.host_name
+        hooks = self.hooks
+        sim = self.sim
+        enter_hook, exit_hook = HOOK_NAMES[abi]
+        half_ns = SYSCALL_BASE_NS / 2
+        yield (half_ns + hooks.fire(enter_hook, SyscallContext(
+            pid, tid, coroutine_id, process_name, socket_id, five_tuple, 0,
+            sim.now, INGRESS, True, abi, 0, b"", 0, host_name))) * NS
         while not sock.readable:
             yield sock.wait_readable()
+        if coroutine_id is None:
+            coroutine_id = thread.coroutine_id
         try:
             seq, data = sock.read_available(max_bytes)
         except ConnectionResetError:
-            cost_ns = SYSCALL_BASE_NS / 2
-            cost_ns += self.hooks.fire(
-                f"sys_exit_{abi}",
-                self._context(thread, sock, abi, Direction.INGRESS, False,
-                              ret=-104, coroutine_id=coroutine_id))
-            yield cost_ns * NS
+            yield (half_ns + hooks.fire(exit_hook, SyscallContext(
+                pid, tid, coroutine_id, process_name, socket_id, five_tuple,
+                0, sim.now, INGRESS, False, abi, 0, b"", -104,
+                host_name))) * NS
             raise
-        cost_ns = SYSCALL_BASE_NS / 2
-        cost_ns += self.hooks.fire(
-            f"sys_exit_{abi}",
-            self._context(thread, sock, abi, Direction.INGRESS, False,
-                          tcp_seq=seq, byte_len=len(data), payload=data,
-                          ret=len(data), coroutine_id=coroutine_id))
-        yield cost_ns * NS
+        size = len(data)
+        yield (half_ns + hooks.fire(exit_hook, SyscallContext(
+            pid, tid, coroutine_id, process_name, socket_id, five_tuple, seq,
+            sim.now, INGRESS, False, abi, size,
+            data[:PAYLOAD_CAPTURE_BYTES], size, host_name))) * NS
         return data
 
     def _sys_egress(self, thread: Thread, abi: str, fd: int,
@@ -337,25 +324,34 @@ class Kernel:
         self.syscall_count += 1
         if sock.state in (SocketState.CLOSED, SocketState.RESET):
             raise BrokenPipeError(str(sock.five_tuple))
-        seq = sock.reserve_tx(len(data))
+        size = len(data)
+        seq = sock.reserve_tx(size)
+        # One identity read, one payload slice, two positional contexts —
+        # see _sys_ingress.
+        pid = thread.pid
+        tid = thread.tid
         coroutine_id = thread.coroutine_id
-        cost_ns = SYSCALL_BASE_NS / 2
-        cost_ns += self.hooks.fire(
-            f"sys_enter_{abi}",
-            self._context(thread, sock, abi, Direction.EGRESS, True,
-                          tcp_seq=seq, byte_len=len(data), payload=data,
-                          coroutine_id=coroutine_id))
-        yield cost_ns * NS
+        process_name = thread.process.name
+        socket_id = sock.socket_id
+        five_tuple = sock.five_tuple
+        host_name = self.host_name
+        hooks = self.hooks
+        sim = self.sim
+        enter_hook, exit_hook = HOOK_NAMES[abi]
+        half_ns = SYSCALL_BASE_NS / 2
+        payload = data[:PAYLOAD_CAPTURE_BYTES]
+        yield (half_ns + hooks.fire(enter_hook, SyscallContext(
+            pid, tid, coroutine_id, process_name, socket_id, five_tuple, seq,
+            sim.now, EGRESS, True, abi, size, payload, 0, host_name))) * NS
         if sock.flow is not None:
             sock.flow.send(sock, seq, data)
-        cost_ns = SYSCALL_BASE_NS / 2
-        cost_ns += self.hooks.fire(
-            f"sys_exit_{abi}",
-            self._context(thread, sock, abi, Direction.EGRESS, False,
-                          tcp_seq=seq, byte_len=len(data), payload=data,
-                          ret=len(data), coroutine_id=coroutine_id))
-        yield cost_ns * NS
-        return len(data)
+        if coroutine_id is None:
+            coroutine_id = thread.coroutine_id
+        yield (half_ns + hooks.fire(exit_hook, SyscallContext(
+            pid, tid, coroutine_id, process_name, socket_id, five_tuple, seq,
+            sim.now, EGRESS, False, abi, size, payload, size,
+            host_name))) * NS
+        return size
 
     # -- uprobe extension points ---------------------------------------------
 
@@ -401,6 +397,6 @@ class ListenQueue:
         self.port = port
         self.queue = Queue(kernel.sim, name=f"listen:{process.ip}:{port}")
 
-    def enqueue(self, sock: Socket) -> None:
-        """Append an accepted socket to the backlog."""
-        self.queue.put(sock)
+    def enqueue(self, fd: int, sock: Socket) -> None:
+        """Append an accepted socket, with its installed fd, to the backlog."""
+        self.queue.put((fd, sock))

@@ -16,7 +16,7 @@ The four categories of information recorded for each ingress/egress call
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.kernel.sockets import FiveTuple
@@ -30,9 +30,9 @@ EGRESS_ABIS = ("sendmsg", "sendmmsg", "writev", "write", "sendto")
 #: All ten instrumented ABIs.
 ALL_ABIS = INGRESS_ABIS + EGRESS_ABIS
 
-#: Hook-point names fired by the kernel for each ABI.
-ENTER_HOOKS = tuple(f"sys_enter_{abi}" for abi in ALL_ABIS)
-EXIT_HOOKS = tuple(f"sys_exit_{abi}" for abi in ALL_ABIS)
+#: ABI → (enter, exit) hook-point names fired by the kernel.
+HOOK_NAMES = {abi: (f"sys_enter_{abi}", f"sys_exit_{abi}")
+              for abi in ALL_ABIS}
 
 
 class Direction(enum.Enum):
@@ -51,13 +51,14 @@ def abi_direction(abi: str) -> Direction:
     raise ValueError(f"unknown syscall ABI: {abi}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SyscallContext:
     """Snapshot handed to eBPF programs when a hook fires.
 
     One context is produced at syscall *enter* and a second at *exit*; the
     in-kernel BPF program merges the two via the ``(pid, tid)`` hash map
-    (§3.3.1) into a :class:`SyscallRecord`.
+    (§3.3.1) into a :class:`SyscallRecord`.  The kernel builds two per
+    syscall, positionally — field order is part of the contract.
     """
 
     # program information
@@ -81,13 +82,14 @@ class SyscallContext:
     host_name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class SyscallRecord:
     """Merged enter+exit data for one syscall — the kernel-side output.
 
     This is what the in-kernel program enqueues into the perf buffer; the
     user-space agent turns streams of these into *message data* and then
-    spans (§3.3.1, Figure 6).
+    spans (§3.3.1, Figure 6).  The exit program builds one per syscall,
+    positionally — field order is part of the contract.
     """
 
     pid: int
@@ -116,7 +118,6 @@ class SyscallRecord:
     #: For shed records: whether the record travels in the flow's request
     #: direction (the first direction seen on the socket).
     shed_is_request: bool = False
-    extra: dict = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
@@ -124,7 +125,7 @@ class SyscallRecord:
         return self.exit_time - self.enter_time
 
 
-@dataclass
+@dataclass(slots=True)
 class CoroutineEvent:
     """Kernel-visible coroutine lifecycle event (creation/exit).
 
@@ -142,7 +143,7 @@ class CoroutineEvent:
     host_name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class SocketCloseEvent:
     """Kernel-visible socket teardown, fired on ``close(2)``.
 
@@ -158,7 +159,7 @@ class SocketCloseEvent:
     host_name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class UserProbeRecord:
     """Record emitted by a uprobe/uretprobe extension hook (§3.2.1).
 

@@ -248,46 +248,46 @@ class Flow:
         self.path = path
         self.metrics = metrics
         self.reset_happened = False
+        self._segment_name = f"flow{flow_id}-seg"
 
     def _peer(self, sock: Socket) -> Socket:
         return self.server if sock is self.client else self.client
 
-    def _direction(self, sock: Socket) -> str:
-        return "c2s" if sock is self.client else "s2c"
-
     def send(self, from_sock: Socket, seq: int, data: bytes) -> None:
         """Fire-and-forget segment transmission (the syscall returns once
         the data is in the send buffer, as with real TCP)."""
-        self.sim.spawn(
-            self._transmit(from_sock, seq, data),
-            name=f"flow{self.flow_id}-seg")
+        self.sim.spawn(self._transmit(from_sock, seq, data),
+                       self._segment_name)
 
     def _transmit(self, from_sock: Socket, seq: int,
                   data: bytes) -> Generator:
-        direction = self._direction(from_sock)
-        peer = self._peer(from_sock)
-        devices = self.path if direction == "c2s" else list(
-            reversed(self.path))
+        if from_sock is self.client:
+            direction, peer, devices = "c2s", self.server, self.path
+        else:
+            direction, peer, devices = "s2c", self.client, self.path[::-1]
+        metrics = self.metrics
+        sim = self.sim
         rto = INITIAL_RTO
         attempts = 0
         while True:
-            sent_at = self.sim.now
+            sent_at = sim.now
             cumulative = 0.0
             dropped = False
             for index, device in enumerate(devices):
                 cumulative += device.latency
-                decision = self._evaluate_faults(device)
-                cumulative += decision.extra_latency
-                if decision.reset:
-                    device.resets_generated += 1
-                    yield cumulative
-                    self._reset_both()
-                    return
-                if decision.drop:
-                    device.segments_dropped += 1
-                    self.metrics.retransmissions += 1
-                    dropped = True
-                    break
+                if device.faults:
+                    decision = self._evaluate_faults(device)
+                    cumulative += decision.extra_latency
+                    if decision.reset:
+                        device.resets_generated += 1
+                        yield cumulative
+                        self._reset_both()
+                        return
+                    if decision.drop:
+                        device.segments_dropped += 1
+                        metrics.retransmissions += 1
+                        dropped = True
+                        break
                 device.segments_forwarded += 1
                 if device.capture_callbacks:
                     self._capture(device, index, direction, seq, data,
@@ -295,7 +295,7 @@ class Flow:
             if dropped:
                 attempts += 1
                 if attempts > MAX_RETRANSMISSIONS:
-                    self.metrics.lost_segments += 1
+                    metrics.lost_segments += 1
                     return
                 yield rto
                 rto *= 2
@@ -303,14 +303,17 @@ class Flow:
             yield cumulative
             if self.reset_happened:
                 return
-            self.metrics.record_segment(direction, len(data), cumulative)
+            metrics.record_segment(direction, len(data), cumulative)
             peer.deliver(seq, data)
             return
 
     def _evaluate_faults(self, device: Device) -> SegmentDecision:
+        """Combined decision of the faults armed on *device* (only called
+        when there are any: a fault-free hop allocates nothing)."""
         combined = SegmentDecision()
+        rng = self.sim.rng
         for fault in device.faults:
-            decision = fault.on_segment(self.sim.rng)
+            decision = fault.on_segment(rng)
             if decision is None:
                 continue
             combined.drop = combined.drop or decision.drop

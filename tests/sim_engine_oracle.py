@@ -1,21 +1,22 @@
-"""Core discrete-event simulation engine.
+"""``repro.sim.engine`` as it stood before the direct-sleep rewrite, kept
+statement for statement as a test oracle (one re-anchor window).
 
-The engine is deliberately small: a binary heap of timestamped callbacks, a
-virtual clock, and generator-based processes.  Determinism is a hard
-requirement for the reproduction (DESIGN.md decision 1), so ties on the heap
-are broken by a monotonically increasing sequence number and all random
-choices are drawn from a single seeded ``random.Random``.
-
-A heap entry is ``(when, seq, fn, args)`` and :meth:`Simulator.step` calls
-``fn(*args)``: scheduling allocates the entry and nothing else.  Every
-entry costs exactly one ``_seq`` increment and pops as exactly one step —
-the end-to-end benchmark's ``sim_events`` is ``_seq - len(_heap)``.
+The engine in ``src/`` carries ``(when, seq, fn, args)`` heap entries,
+lets a process that yields a plain ``int``/``float`` push its own
+wake-up and lets a wait on a pending bare ``Event`` append ``_resume``
+directly; this module still goes the long way round — a ``lambda`` per
+``call_soon``, a ``Timeout`` per sleep, ``add_callback`` per wait — and
+``tests/test_sim_engine_properties.py`` requires random process programs
+to produce the same log, results, exception sites, ``_seq`` and heap
+length on both.  ``repro.sim.queue.Queue`` only touches the public
+``sim.event()`` / ``succeed`` / ``fail`` surface, so the property runs it
+unchanged over either engine.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
-from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -59,7 +60,7 @@ class Event:
         self.triggered = True
         self.ok = True
         self.value = value
-        self.sim.call_soon(self._run_callbacks)
+        self.sim._schedule_event(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -69,7 +70,7 @@ class Event:
         self.triggered = True
         self.ok = False
         self.value = exception
-        self.sim.call_soon(self._run_callbacks)
+        self.sim._schedule_event(self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -113,17 +114,15 @@ class Process:
 
     * an :class:`Event` — suspend until it triggers; ``yield`` evaluates to
       the event's value (or raises its failure exception);
-    * an ``int``/``float`` — sleep for that many virtual seconds (no
-      :class:`Timeout` is built: nobody else can observe the sleep, so the
-      process pushes its own wake-up onto the heap);
+    * an ``int``/``float`` — sleep for that many virtual seconds;
     * another :class:`Process` — join it; ``yield`` evaluates to its result.
 
     The generator's ``return`` value becomes the process result and is
     delivered to joiners.
     """
 
-    __slots__ = ("sim", "name", "_gen", "_done", "_waiting_on", "_wake_token",
-                 "_result", "_exception", "finished")
+    __slots__ = ("sim", "name", "_gen", "_done", "_waiting_on", "_result",
+                 "_exception", "finished")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -131,9 +130,6 @@ class Process:
         self._gen = gen
         self._done = Event(sim)
         self._waiting_on: Optional[Event] = None
-        #: Wake token: the heap ``seq`` of the sleep in progress, 0 once
-        #: interrupted or killed — the stale entry then pops as a no-op.
-        self._wake_token = 0
         self._result: Any = None
         self._exception: Optional[BaseException] = None
         self.finished = False
@@ -176,7 +172,6 @@ class Process:
             except ValueError:
                 pass
         self._waiting_on = None
-        self._wake_token = 0
 
     # -- stepping machinery -------------------------------------------------
 
@@ -186,10 +181,6 @@ class Process:
             self._step(event.value)
         else:
             self._step_throw(event.value)
-
-    def _wake(self, token: int) -> None:
-        if token == self._wake_token:
-            self._step(None)
 
     def _step(self, value: Any) -> None:
         if self.finished:
@@ -218,28 +209,13 @@ class Process:
         self._wait_on(yielded)
 
     def _wait_on(self, yielded: Any) -> None:
-        kind = type(yielded)
-        if kind is float or kind is int:
-            if yielded >= 0:
-                sim = self.sim
-                when = sim.now + float(yielded)
-                sim._seq = self._wake_token = token = sim._seq + 1
-                heappush(sim._heap, (when, token, self._wake, (token,)))
-                return
-        elif kind is Event and not yielded.triggered:
-            self._waiting_on = yielded
-            yielded._callbacks.append(self._resume)
-            return
-        # Everything else — joins, Timeout objects, already-triggered
-        # events, bool and subclass numerics, negative delays, garbage.
         if isinstance(yielded, Process):
             yielded = yielded._done
         elif isinstance(yielded, (int, float)):
             yielded = Timeout(self.sim, float(yielded))
         if not isinstance(yielded, Event):
             self._step_throw(SimulationError(
-                f"process {self.name!r} "  # lint: ok — misuse path
-                f"yielded {yielded!r}; expected an "
+                f"process {self.name!r} yielded {yielded!r}; expected an "
                 "Event, Process, or numeric delay"))
             return
         self._waiting_on = yielded
@@ -261,22 +237,24 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
+        self._processes: list[Process] = []
 
     # -- scheduling ----------------------------------------------------------
 
     def _schedule(self, delay: float, fn: Callable[[], None]) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (self.now + delay, seq, fn, ()))
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
         """Run *fn(\\*args)* at the current timestamp, after pending work."""
-        self._seq = seq = self._seq + 1
-        # ``+ 0.0`` keeps the clock a float after ``run(until=<int>)``.
-        heappush(self._heap, (self.now + 0.0, seq, fn, args))
+        self._schedule(0.0, lambda: fn(*args))
+
+    def _schedule_event(self, event: Event) -> None:
+        self._schedule(0.0, event._run_callbacks)
 
     # -- factories -----------------------------------------------------------
 
@@ -290,7 +268,9 @@ class Simulator:
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator."""
-        return Process(self, gen, name=name)
+        process = Process(self, gen, name=name)
+        self._processes.append(process)
+        return process
 
     def any_of(self, events: Iterable[Event]) -> Event:
         """An event that triggers when the first of *events* triggers."""
@@ -343,11 +323,11 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next scheduled callback.  Returns False when idle."""
-        heap = self._heap
-        if not heap:
+        if not self._heap:
             return False
-        self.now, _seq, fn, args = heappop(heap)
-        fn(*args)
+        when, _seq, fn = heapq.heappop(self._heap)
+        self.now = when
+        fn()
         return True
 
     def run(self, until: Optional[float] = None) -> None:

@@ -469,6 +469,81 @@ def test_hot_path_covers_the_pull_read_path(tmp_path):
                      ("trace", "hp-alloc-in-loop")], report.findings
 
 
+def test_hot_path_covers_the_front_half_per_event_bodies(tmp_path):
+    """The per-event seeds have no loop of their own — the simulator's
+    run loop is their loop — so their whole bodies are checked for what
+    the front-half rewrite removed: the ``lambda`` per ``call_soon``,
+    the keyword-built context and the per-fire f-string hook name in a
+    generic syscall path, the f-string process name per segment.  The
+    ``raise`` payload, the positional build and the retry loop's hoisted
+    locals are not findings; an un-hoisted ``self.sim.now`` in that loop
+    is caught by the loop rule through the same seeds."""
+    root = _seed_tree(tmp_path, {
+        "sim/engine.py": '''
+            from heapq import heappop, heappush
+
+
+            class Simulator:
+                def _schedule(self, delay, fn, args=()):
+                    if delay < 0:
+                        raise ValueError(f"in the past: {delay}")
+                    self._seq = seq = self._seq + 1
+                    heappush(self._heap, (self.now + delay, seq, fn, args))
+
+                def call_soon(self, fn, *args):
+                    self._schedule(0.0, lambda: fn(*args))
+
+                def step(self):
+                    self.now, _seq, fn, args = heappop(self._heap)
+                    fn(*args)
+            ''',
+        "kernel/kernel.py": '''
+            class SyscallContext:
+                pass
+
+
+            class Kernel:
+                def _sys_ingress(self, thread, abi, fd, max_bytes):
+                    yield self.hooks.fire(ENTER[abi], SyscallContext(
+                        thread.pid, thread.tid, self.sim.now, abi))
+
+                def _sys_egress(self, thread, abi, fd, data):
+                    yield self.hooks.fire(
+                        f"sys_enter_{abi}",
+                        SyscallContext(pid=thread.pid, tid=thread.tid,
+                                       timestamp=self.sim.now, abi=abi))
+            ''',
+        "network/transport.py": '''
+            class Flow:
+                def send(self, from_sock, seq, data):
+                    self.sim.spawn(self._transmit(from_sock, seq, data),
+                                   name=f"flow{self.flow_id}-seg")
+
+                def _transmit(self, from_sock, seq, data):
+                    sim = self.sim
+                    while True:
+                        sent_at = sim.now
+                        stamp = self.sim.now
+                        yield sent_at + stamp
+            ''',
+    })
+    report = _analyze(root, ["hot-path"])
+    found = sorted((f.function.rsplit(".", 1)[-1], f.rule,
+                    f.message.split(" in a body")[0])
+                   for f in report.findings)
+    assert found == [
+        ("_sys_egress", "hp-make-work-per-event",
+         "SyscallContext(...) built with keywords"),
+        ("_sys_egress", "hp-make-work-per-event", "f-string"),
+        ("_transmit", "hp-attr-in-loop",
+         "attribute chain self.sim.now inside a hot loop — hoist it "
+         "into a local before the loop"),
+        ("call_soon", "hp-make-work-per-event", "closure"),
+        ("send", "hp-make-work-per-event", "f-string"),
+    ], report.findings
+    assert {f.severity for f in report.findings} == {"warn"}
+
+
 # ---------------------------------------------------------------------------
 # The repo itself and the CLI
 

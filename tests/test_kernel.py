@@ -337,6 +337,67 @@ class TestSyscalls:
         process = sim.spawn(main())
         assert sim.run_process(process) == "refused"
 
+    def test_accept_returns_the_installed_fd_of_each_kept_connection(
+            self, network, cluster, sim):
+        """200 connections accepted and kept open: every fd returned is the
+        one installed when the connection arrived (no fd-table scan), in
+        arrival order, and resolves to the socket paired with the client."""
+        client_node, server_node = cluster.nodes
+        client_kernel = network.kernel_for_node(client_node.name)
+        server_kernel = network.kernel_for_node(server_node.name)
+        server_proc = server_kernel.create_process(
+            "server", server_node.pods[0].ip)
+        server_thread = server_kernel.create_thread(server_proc)
+        listener = server_kernel.listen(server_proc, 8080)
+        client_proc = client_kernel.create_process(
+            "client", client_node.pods[0].ip)
+        client_thread = client_kernel.create_thread(client_proc)
+        accepted = []
+
+        def acceptor():
+            while len(accepted) < 200:
+                fd = yield from server_kernel.accept(server_thread, listener)
+                accepted.append(
+                    (fd, server_kernel.socket_for_fd(server_thread, fd)))
+
+        def dialer():
+            for _ in range(200):
+                yield from client_kernel.connect(
+                    client_thread, server_node.pods[0].ip, 8080)
+
+        done = sim.spawn(acceptor())
+        sim.spawn(dialer())
+        sim.run_process(done)
+        fds = [fd for fd, _sock in accepted]
+        assert fds == list(range(3, 203))
+        flows = {id(flow.server): flow for flow in network.flows}
+        assert [flows[id(sock)].flow_id for _fd, sock in accepted] \
+            == list(range(1, 201))
+
+    def test_accept_of_a_socket_closed_in_the_backlog_raises(
+            self, network, cluster, sim):
+        client_node, server_node = cluster.nodes
+        client_kernel = network.kernel_for_node(client_node.name)
+        server_kernel = network.kernel_for_node(server_node.name)
+        server_proc = server_kernel.create_process(
+            "server", server_node.pods[0].ip)
+        server_thread = server_kernel.create_thread(server_proc)
+        listener = server_kernel.listen(server_proc, 8080)
+        client_proc = client_kernel.create_process(
+            "client", client_node.pods[0].ip)
+        client_thread = client_kernel.create_thread(client_proc)
+
+        def late_acceptor():
+            yield 1.0
+            server_kernel.close(server_thread, 3)  # still in the backlog
+            yield from server_kernel.accept(server_thread, listener)
+
+        sim.spawn(client_kernel.connect(
+            client_thread, server_node.pods[0].ip, 8080))
+        process = sim.spawn(late_acceptor())
+        with pytest.raises(KernelError, match="missing from fd table"):
+            sim.run_process(process)
+
     def test_bad_fd_raises(self, kernels):
         kernel = kernels[0]
         proc = kernel.create_process("p", "10.0.1.2")

@@ -238,3 +238,31 @@ def test_event_add_callback_after_trigger_still_fires():
     event.add_callback(lambda ev: seen.append(ev.value))
     sim.run()
     assert seen == ["v"]
+
+
+def test_finished_unreferenced_process_is_collectable():
+    """The simulator keeps no registry of what it spawned: a process that
+    ran to completion — one per TCP segment in a live chain — is garbage
+    once its caller drops it, generator and ``_done`` event with it."""
+    import gc
+    import weakref
+
+    sim = Simulator()
+
+    def segment():
+        yield 0.001
+
+    # Process is slotted without __weakref__; its generator is the canary
+    # (the process holds the only other reference to it).
+    refs = []
+    for _ in range(50):
+        gen = segment()
+        refs.append(weakref.ref(gen))
+        sim.spawn(gen)
+    del gen
+    sim.run(until=0.0005)
+    gc.collect()
+    assert all(ref() is not None for ref in refs)   # parked on the heap
+    sim.run()
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 50

@@ -31,6 +31,17 @@ f-strings, and list/set/dict literal displays anywhere inside them;
 the once-per-socket/once-per-transition slow paths they delegate to are
 deliberately not listed.
 
+A third contract covers the front half of the chain
+(:data:`PER_EVENT_SEEDS`): the engine's step, the process resume path,
+the two generic syscall paths, hook dispatch, the perf ring and segment
+transmission have no loop of their own — the simulator's run loop *is*
+their loop, once per event / syscall / firing / segment.
+``hp-make-work-per-event`` (warn) flags, anywhere in those bodies
+outside ``raise`` statements, what used to make them slow: a ``lambda``
+or nested function (a closure per event), an f-string or comprehension,
+and a record class built with keyword arguments (build it positionally,
+in field order).  They also seed the loop-body closure above.
+
 Dynamic dispatch hides the agent's handler table from the call graph,
 so the seed list names the handler methods explicitly; module-level
 entry points (the OTLP encoder) are seeded by qualified name.
@@ -105,6 +116,18 @@ ALLOC_FREE_SEEDS: dict[str, tuple[str, ...]] = {
     "Histogram": ("observe",),
 }
 
+#: class name → methods that run once per simulated event, syscall,
+#: hook firing or segment: checked over their WHOLE body, and seeds of
+#: the loop-body closure like :data:`HOT_SEEDS`.
+PER_EVENT_SEEDS: dict[str, tuple[str, ...]] = {
+    "Simulator": ("step", "call_soon", "_schedule"),
+    "Process": ("_step", "_step_throw", "_wait_on", "_resume", "_wake"),
+    "Kernel": ("_sys_ingress", "_sys_egress"),
+    "HookRegistry": ("fire",),
+    "PerfBuffer": ("submit",),
+    "Flow": ("send", "_transmit"),
+}
+
 ALLOC_CALLS = {"list", "dict", "set", "tuple", "frozenset", "sorted"}
 ALLOC_DISPLAYS = (ast.List, ast.Set, ast.Dict)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
@@ -117,9 +140,8 @@ def hot_functions(project: Project) -> dict[str, FunctionInfo]:
     seeds: set[str] = {qualname for qualname in HOT_FUNCTION_SEEDS
                        if qualname in project.functions}
     for cls in project.classes.values():
-        wanted = HOT_SEEDS.get(cls.name)
-        if not wanted:
-            continue
+        wanted = (HOT_SEEDS.get(cls.name, ())
+                  + PER_EVENT_SEEDS.get(cls.name, ()))
         for method_name in wanted:
             method = cls.methods.get(method_name)
             if method is not None:
@@ -136,9 +158,20 @@ def alloc_free_functions(project: Project) -> dict[str, FunctionInfo]:
     (socket open, tier transition) to helpers that allocate by design,
     so only the listed bodies themselves carry the contract.
     """
+    return _seeded_bodies(project, ALLOC_FREE_SEEDS)
+
+
+def per_event_functions(project: Project) -> dict[str, FunctionInfo]:
+    """qualname → function for the per-event seeds (no closure: what
+    they call is either seeded itself or covered by the loop rules)."""
+    return _seeded_bodies(project, PER_EVENT_SEEDS)
+
+
+def _seeded_bodies(project: Project, table: dict[str, tuple[str, ...]]
+                   ) -> dict[str, FunctionInfo]:
     out: dict[str, FunctionInfo] = {}
     for cls in project.classes.values():
-        wanted = ALLOC_FREE_SEEDS.get(cls.name)
+        wanted = table.get(cls.name)
         if not wanted:
             continue
         for method_name in wanted:
@@ -210,6 +243,41 @@ class HotPathChecker(Checker):
         for qualname, info in sorted(alloc_free_functions(project).items()):
             path = info.module.rel_display(project.repo_root)
             yield from self._check_guard(info.node.body, path, qualname)
+        for qualname, info in sorted(per_event_functions(project).items()):
+            path = info.module.rel_display(project.repo_root)
+            yield from self._check_per_event(info.node.body, path, qualname)
+
+    def _check_per_event(self, body: list[ast.stmt], path: str,
+                         qualname: str) -> Iterator[Finding]:
+        """Flag per-event make-work anywhere in a body the simulator's
+        run loop executes once per event / syscall / firing / segment."""
+        stack: list[ast.AST] = list(body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Raise):
+                continue
+            kind = None
+            if isinstance(node, (ast.Lambda, ast.FunctionDef)):
+                kind = "closure"
+            elif isinstance(node, ast.JoinedStr):
+                kind = "f-string"
+            elif isinstance(node, COMPREHENSIONS):
+                kind = "comprehension"
+            elif (isinstance(node, ast.Call) and node.keywords
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id[:1].isupper()):
+                kind = f"{node.func.id}(...) built with keywords"
+            if kind is not None:
+                yield Finding(
+                    path=path, line=node.lineno, checker=self.name,
+                    rule="hp-make-work-per-event", severity="warn",
+                    function=qualname,
+                    message=(f"{kind} in a body that runs once per "
+                             f"simulated event — schedule fn + args, "
+                             f"precompute names, build records "
+                             f"positionally"))
+            if kind != "closure":
+                stack.extend(ast.iter_child_nodes(node))
 
     def _check_guard(self, body: list[ast.stmt], path: str,
                      qualname: str) -> Iterator[Finding]:
