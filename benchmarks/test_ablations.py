@@ -30,6 +30,7 @@ from repro.apps.runtime import HttpService, Response, WorkerContext
 from repro.core.span import SpanSide
 from repro.network.topology import ClusterBuilder
 from repro.network.transport import Network
+from repro.server.reference import collect_iterative
 from repro.server.server import DeepFlowServer
 from repro.sim.engine import Simulator
 
@@ -136,7 +137,7 @@ def test_ablation_iteration_budget(benchmark, iterations,
     the full component regardless, so this ablation pins both facts."""
     sim = Simulator(seed=303)
     app = bookinfo.build(sim)
-    server = DeepFlowServer(iterations=iterations)
+    server = DeepFlowServer()
     agents = []
     for node in app.cluster.nodes:
         agent = server.new_agent(node.kernel, node=node)
@@ -147,14 +148,14 @@ def test_ablation_iteration_budget(benchmark, iterations,
     flush_all(sim, agents)
     root = next(span for span in server.store.all_spans()
                 if span.process_name == "wrk2")
-    trace = benchmark.pedantic(
-        lambda: server.trace(root.span_id, use_index=False),
+    found = benchmark.pedantic(
+        lambda: collect_iterative(server.store, root.span_id, iterations),
         rounds=1, iterations=1)
     if expect_complete:
-        assert len(trace) == 18
+        assert len(found.spans) == 18
     else:
-        assert len(trace) < 18
-    # The fast path has no iteration budget to truncate.
+        assert len(found.spans) < 18
+    # The union-find has no iteration budget to truncate.
     assert len(server.trace(root.span_id)) == 18
 
 

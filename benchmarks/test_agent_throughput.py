@@ -1,15 +1,13 @@
-"""Agent pipeline throughput (Goal 5: high performance).
+"""Agent pipeline cost (Goal 5: high performance).
 
 The calibration notes for this reproduction flag the high-throughput
-agent as the hard part of a Python build, so we measure it directly:
-how many kernel events per (real) second the user-space pipeline absorbs
-— enter/exit merge, protocol inference, session aggregation, systrace
-assignment, span construction — and the per-event cost of each stage.
+agent as the hard part of a Python build, so pytest-benchmark times the
+user-space pipeline directly — enter/exit merge, protocol inference,
+session aggregation, systrace assignment, span construction — on
+synthetic records.  The timings are reported, not asserted: the gated
+throughput figure is ``agent_replay`` in ``benchmarks/e2e``, which
+replays a recorded ring tape.  What is asserted here is deterministic.
 """
-
-import time
-
-from benchmarks.conftest import print_table
 
 from repro.agent.agent import DeepFlowAgent
 from repro.kernel.kernel import Kernel
@@ -55,31 +53,18 @@ def _fresh_agent():
     return DeepFlowAgent(kernel, agent_index=1)
 
 
-def test_agent_pipeline_events_per_second(benchmark):
+def test_agent_pipeline_pairs_every_request(benchmark):
+    """One span per request/response pair, none lost in the pipeline."""
     records = _synthetic_records(EVENTS)
-    agent = _fresh_agent()
 
     def run_pipeline():
+        agent = _fresh_agent()
         for record in records:
             agent._process_event(record)
         return agent.stats["spans_emitted"]
 
-    start = time.perf_counter()
-    spans = run_pipeline()
-    elapsed = time.perf_counter() - start
-    events_per_second = EVENTS / elapsed
-    print_table(
-        "Agent user-space pipeline throughput",
-        ["quantity", "value"],
-        [("events processed", EVENTS),
-         ("spans emitted", spans),
-         ("events/second", f"{events_per_second:,.0f}"),
-         ("per-event cost", f"{elapsed / EVENTS * 1e6:.1f} us")])
+    spans = benchmark.pedantic(run_pipeline, rounds=3, iterations=1)
     assert spans == EVENTS // 2
-    # A Python pipeline should still absorb tens of thousands of
-    # events per second.
-    assert events_per_second > 20_000
-    benchmark.pedantic(lambda: _fresh_agent(), rounds=3, iterations=1)
 
 
 def test_agent_per_event_cost(benchmark):

@@ -22,6 +22,7 @@ from benchmarks.conftest import deploy_deepflow, flush_all, print_table, \
 from repro.apps import springboot
 from repro.core.span import SpanSide
 from repro.server.database import SpanStore
+from repro.server.reference import assemble_iterative, collect_iterative
 from repro.server.streaming import ContinuousAssembler
 from repro.sim.engine import Simulator
 
@@ -95,7 +96,7 @@ def test_fig15_trace_assembly_dearer_per_span(benchmark,
     start = time.perf_counter()
     trace_size = 0
     for span in client_spans[:rounds]:
-        trace_size = len(server.trace(span.span_id, use_index=False))
+        trace_size = len(assemble_iterative(server.store, span.span_id))
     trace_delay = (time.perf_counter() - start) / rounds
     start = time.perf_counter()
     for span in client_spans[:rounds]:
@@ -120,23 +121,23 @@ def test_fig15_trace_assembly_dearer_per_span(benchmark,
         rounds=5, iterations=1)
 
 
-def test_fig15_algorithm1_converges_quickly(benchmark, populated_server):
+def test_fig15_algorithm1_converges_quickly(benchmark, populated_server,
+                                            monkeypatch):
     """The iterative reference issues several store searches, stopping
-    well under the 30-iteration default; the fast path never searches
-    at all and returns the same spans."""
+    well under the 30-iteration default; the production path never
+    touches the postings at all and returns the same spans."""
     server, client_spans, _sim = populated_server
     start_id = client_spans[0].span_id
-    before = server.store.search_count
-    benchmark.pedantic(
-        lambda: server.trace(start_id, use_index=False),
+    found = benchmark.pedantic(
+        lambda: collect_iterative(server.store, start_id),
         rounds=1, iterations=1)
-    assert server.assembler.last_iteration_count <= 6
-    assert server.store.search_count - before >= 2
-    reference = {span.span_id
-                 for span in server.trace(start_id, use_index=False)}
-    before = server.store.search_count
+    assert 2 <= found.rounds <= 6
+    assert found.lookups >= 2
+    reference = {span.span_id for span in found.spans}
+    asked = []
+    monkeypatch.setattr(server.store, "carriers", asked.append)
     fast = {span.span_id for span in server.trace(start_id)}
-    assert server.store.search_count == before
+    assert not asked
     assert fast == reference
 
 

@@ -5,9 +5,9 @@ components [89]; this bench pushes a generated multi-layer graph
 (tens of services, deep fan-out traces) through agents, store, and
 Algorithm 1, reporting span volume and assembly time at scale.
 
-The store benches also price the ingest redesign: write-optimized
-inserts (index work deferred to a per-batch commit) and the incremental
-trace-graph index versus the iterative Algorithm 1 reference.
+The store benches check the 50k-span store's postings and price the
+incremental trace-graph index against the iterative Algorithm 1
+reference (:mod:`repro.server.reference`) as a same-run ratio.
 """
 
 import time
@@ -16,6 +16,8 @@ from benchmarks.conftest import deploy_deepflow, flush_all, print_table, \
     run_wrk2
 
 from repro.apps.servicegen import generate
+from repro.server.index import association_keys
+from repro.server.reference import collect_iterative
 from repro.sim.engine import Simulator
 
 
@@ -51,21 +53,18 @@ def test_scale_generated_topology(benchmark):
     assert len(trace) == expected_spans
     assert len(trace.roots()) == 1
     assert len(server.store) == report.completed * expected_spans
-    # The fast path answers without iterating; the reference must agree.
-    reference = server.trace(trace.spans[0].span_id, use_index=False)
-    assert {s.span_id for s in reference} == {s.span_id for s in trace}
+    # The index answers without iterating; the reference must agree.
+    reference = collect_iterative(server.store, trace.spans[0].span_id)
+    assert ({s.span_id for s in reference.spans}
+            == {s.span_id for s in trace})
 
 
 def test_scale_store_handles_many_spans(benchmark):
-    """Insert + query 50k synthetic spans through the store indexes.
-
-    Ingest is measured as the agents' shipping path sees it (the
-    write-optimized insert), with the deferred per-batch index commit
-    priced separately — the commit runs once per batch, not per query.
-    """
+    """Insert 50k synthetic spans and look one span's keys up in the
+    committed postings (timed by pytest-benchmark, not judged)."""
     from repro.core.ids import IdAllocator
     from repro.core.span import Span, SpanKind, SpanSide
-    from repro.server.database import AssociationFilter, SpanStore
+    from repro.server.database import SpanStore
 
     ids = IdAllocator(7)
     store = SpanStore()
@@ -79,33 +78,14 @@ def test_scale_store_handles_many_spans(benchmark):
             flow_key=("flow", index % 977),
             req_tcp_seq=index,
         ))
-    start_clock = time.perf_counter()
     store.insert_many(spans)
-    insert_seconds = time.perf_counter() - start_clock
-    start_clock = time.perf_counter()
     store.flush()
-    commit_seconds = time.perf_counter() - start_clock
+    keys = association_keys(spans[1234])
 
-    assoc = AssociationFilter()
-    assoc.absorb(spans[1234])
-
-    def search():
-        return store.search(assoc)
-
-    result = benchmark(search)
-    print_table(
-        "Scale: span store with 50k spans",
-        ["quantity", "value"],
-        [("insert rate", f"{50_000 / insert_seconds:,.0f} spans/s"),
-         ("index commit", f"{commit_seconds * 1e3:.1f} ms"),
-         ("ingest-to-queryable rate",
-          f"{50_000 / (insert_seconds + commit_seconds):,.0f} spans/s"),
-         ("indexed search result", len(result))])
+    result = benchmark(lambda: store.carriers(keys))
     assert len(store) == 50_000
-    assert result  # systrace + flow-seq matches found
-    # The redesign's floor: ingest itself must be far above the old
-    # insort-per-span path (~200k spans/s on this workload).
-    assert 50_000 / insert_seconds > 1_000_000
+    # The four spans sharing the systrace id; the flow-seq is its own.
+    assert result == {span.span_id for span in spans[1232:1236]}
 
 
 def _chain_store(groups: int, chain: int):
@@ -149,32 +129,29 @@ def test_scale_fast_path_vs_reference(benchmark):
     the component lookup must beat the iterative reference by >= 10x,
     while returning identical span sets.
     """
-    from repro.server.assembler import TraceAssembler
-
     chain = 24
     store, spans = _chain_store(groups=50_000 // chain + 1, chain=chain)
-    assembler = TraceAssembler(store)
     starts = [span.span_id for span in spans[::chain][:200]]
 
     for start in starts[:5]:  # equivalence spot-check before timing
-        fast = {s.span_id for s in assembler.collect(start)}
+        fast = {s.span_id for s in store.component_spans(start)}
         reference = {s.span_id
-                     for s in assembler.collect_iterative(start)}
+                     for s in collect_iterative(store, start).spans}
         assert fast == reference
 
     clock = time.perf_counter()
     for start in starts:
-        assembler.collect_iterative(start)
+        found = collect_iterative(store, start)
     reference_seconds = (time.perf_counter() - clock) / len(starts)
-    iterations = assembler.last_iteration_count
+    iterations = found.rounds
 
     clock = time.perf_counter()
     for start in starts:
-        assembler.collect(start)
+        store.component_spans(start)
     fast_seconds = (time.perf_counter() - clock) / len(starts)
     speedup = reference_seconds / fast_seconds
 
-    benchmark.pedantic(lambda: assembler.collect(starts[0]),
+    benchmark.pedantic(lambda: store.component_spans(starts[0]),
                        rounds=5, iterations=10)
     print_table(
         "Scale: Algorithm 1 fast path vs iterative reference "

@@ -1,16 +1,15 @@
-"""Continuous-pipeline throughput: ingest → assembly → OTLP export.
+"""Continuous pipeline: ingest → assembly → OTLP export, deterministically.
 
-The push path must keep up with the agent fleet: the acceptance bar is
-50k spans/s sustained through the whole chain — span-store insert,
-union-find link events, live-trace maintenance, parent assignment on
-retirement, and OTLP/JSON encoding of every finished trace.  The same
-workload also reports the deterministic sim-time ingest-to-finished
-latency (from the ``stream.finish_lag_s`` histogram), which is a
-property of the lifecycle parameters, not of wall-clock speed.
+The whole push chain — span-store insert, union-find link events,
+live-trace maintenance, parent assignment on retirement, OTLP/JSON
+encoding of every finished trace — on a synthetic steady-state stream.
+Asserted here are the figures that do not depend on host speed: span,
+trace and merge counts, that traces retire while ingest runs, and the
+sim-time ingest-to-finished latency (the ``stream.finish_lag_s``
+histogram), a property of the lifecycle parameters.  Throughput is gated
+end to end by ``server_replay`` in ``benchmarks/e2e``; pytest-benchmark
+reports this workload's time without judging it.
 """
-
-import gc
-import time
 
 from benchmarks.conftest import print_table
 
@@ -20,7 +19,6 @@ from repro.server.server import DeepFlowServer
 
 SPAN_COUNT = 50_000
 BATCH = 512
-TARGET_SPANS_PER_SECOND = 50_000
 
 
 def make_streaming_spans(count: int) -> list[Span]:
@@ -46,111 +44,55 @@ def make_streaming_spans(count: int) -> list[Span]:
     return spans
 
 
-def run_streaming_workload(spans: list[Span], *, repeats: int = 3,
-                           keep_payloads: bool = False) -> dict:
-    """Best-of-*repeats* wall clock for the full push path; returns the
-    figures both the pytest bench and tools/bench_report.py print."""
-    elapsed = None
-    server = None
-    exporter = None
-    # Same accounting as tools/bench_report.py's sharded runs: a
-    # whole-process gen-2 GC pass landing mid-measurement is a
-    # single-process artifact, not a cost of the pipeline.
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _attempt in range(repeats):
-            server = DeepFlowServer()
-            exporter = OtlpStreamExporter(keep_payloads=keep_payloads)
-            server.enable_streaming(exporter=exporter)
-            clock = time.perf_counter()
-            for start in range(0, len(spans), BATCH):
-                batch = spans[start:start + BATCH]
-                server.ingest_spans(batch, now=batch[-1].end_time)
-            end_time = spans[-1].end_time
-            server.streaming.tick(end_time + 0.06)  # root-grace finish
-            server.streaming.drain(end_time + 0.06)  # stragglers
-            run = time.perf_counter() - clock
-            elapsed = run if elapsed is None else min(elapsed, run)
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+def run_streaming_workload(spans: list[Span]) -> dict:
+    """One pass of the full push path; returns its deterministic figures."""
+    server = DeepFlowServer()
+    exporter = OtlpStreamExporter(keep_payloads=False)
+    server.enable_streaming(exporter=exporter)
+    for start in range(0, len(spans), BATCH):
+        batch = spans[start:start + BATCH]
+        server.ingest_spans(batch, now=batch[-1].end_time)
+    end_time = spans[-1].end_time
+    server.streaming.tick(end_time + 0.06)  # root-grace finish
+    server.streaming.drain(end_time + 0.06)  # stragglers
     assert exporter.exported_spans == len(spans)
     lag = server.pipeline_metrics.get("stream.finish_lag_s")
-    stream = server.streaming.stats()
     return {
         "spans": len(spans),
         "traces": exporter.exported_traces,
-        "spans_per_second": round(len(spans) / elapsed),
-        "elapsed_ms": round(elapsed * 1e3, 1),
         "p99_finish_lag_ms": round(lag.percentile(0.99) * 1e3, 1),
         "mean_finish_lag_ms": round(lag.mean() * 1e3, 2),
-        "merges": stream["merges"],
+        "merges": server.streaming.stats()["merges"],
         "forced_finishes": sum(
             1 for record in server.streaming.finished
             if record.reason == "forced"),
     }
 
 
-def run_export_only(spans: list[Span], *, repeats: int = 3) -> dict:
-    """Export throughput in isolation: re-encode the finished traces
-    (the pipeline's per-trace OTLP cost without store or assembly)."""
-    server = DeepFlowServer(streaming=True)
-    server.ingest_spans(spans, now=spans[-1].end_time)
-    server.streaming.drain(spans[-1].end_time)
-    traces = [record.trace for record in server.streaming.finished]
-    exported = sum(len(trace) for trace in traces)
-    elapsed = None
-    for _attempt in range(repeats):
-        sink = OtlpStreamExporter(keep_payloads=False)
-        clock = time.perf_counter()
-        for trace in traces:
-            sink.export_trace(trace)
-        run = time.perf_counter() - clock
-        elapsed = run if elapsed is None else min(elapsed, run)
-    return {
-        "spans": exported,
-        "export_spans_per_second": round(exported / elapsed),
-        "export_us_per_span": round(elapsed / exported * 1e6, 2),
-    }
-
-
-def test_streaming_sustains_target_throughput(benchmark):
+def test_streaming_retires_traces_while_ingesting(benchmark):
     spans = make_streaming_spans(SPAN_COUNT)
-    run_streaming_workload(spans[:5000], repeats=1)       # warmup
-    result = run_streaming_workload(spans)
-    export = run_export_only(spans)
+    result = benchmark.pedantic(lambda: run_streaming_workload(spans),
+                                rounds=1, iterations=1)
     print_table(
         "Continuous pipeline: ingest -> assembly -> OTLP export",
         ["metric", "value"],
         [("spans", result["spans"]),
          ("finished traces", result["traces"]),
-         ("end-to-end spans/s", f"{result['spans_per_second']:,}"),
-         ("export-only spans/s",
-          f"{export['export_spans_per_second']:,}"),
          ("p99 ingest-to-finished (sim ms)",
           result["p99_finish_lag_ms"]),
          ("mean ingest-to-finished (sim ms)",
           result["mean_finish_lag_ms"]),
          ("forced finishes", result["forced_finishes"])])
-    assert result["spans_per_second"] >= TARGET_SPANS_PER_SECOND
-    assert export["export_spans_per_second"] > TARGET_SPANS_PER_SECOND
+    assert result["traces"] == SPAN_COUNT // 4
     # Steady state: traces retire while ingest runs, not at the drain.
     assert result["forced_finishes"] < result["traces"] * 0.05
     assert result["merges"] == result["spans"] - result["traces"]
-    benchmark.pedantic(
-        lambda: run_streaming_workload(spans[:10_000], repeats=1),
-        rounds=3, iterations=1)
 
 
 def test_finish_lag_is_deterministic_sim_time():
     """The latency figure is a lifecycle property: two runs on the same
     workload report identical histograms regardless of host speed."""
     spans = make_streaming_spans(10_000)
-    first = run_streaming_workload(spans, repeats=1)
-    second = run_streaming_workload(spans, repeats=1)
-    assert first["p99_finish_lag_ms"] == second["p99_finish_lag_ms"]
-    assert first["mean_finish_lag_ms"] == second["mean_finish_lag_ms"]
-    assert first["traces"] == second["traces"]
+    first = run_streaming_workload(spans)
+    second = run_streaming_workload(spans)
+    assert first == second

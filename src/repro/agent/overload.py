@@ -298,11 +298,6 @@ class OverloadController:
         # Middle zone (between the watermarks, no drops): hold the tier
         # and keep the hysteresis credit — neither direction wins.
 
-    @property
-    def shed_payload(self) -> bool:
-        """Whether L7 payload is currently being shed."""
-        return self.tier >= Tier.SHED_PAYLOAD
-
     # -- internals -------------------------------------------------------
 
     def _set_rate(self, now: float, rate: float) -> None:

@@ -112,10 +112,6 @@ class AnomalyWatchdog:
         self._seen_transitions: dict[int, int] = {}
         self._last_fired: dict[tuple[str, str], float] = {}
 
-    def watch_agent(self, agent) -> None:
-        """Add an agent's degradation tiers to the scan set."""
-        self.agents.append(agent)
-
     def watch_streaming(self, assembler,
                         budgets: dict[str, float]) -> None:
         """Attach per-service latency *budgets* (seconds) to a

@@ -1,21 +1,19 @@
 """Trace export to interchange formats.
 
 Assembled traces can be handed to existing visualization and pipeline
-tooling in three registered formats (:data:`FORMATS`):
+tooling in two formats, each a plain function:
 
-* ``jaeger`` — the Jaeger UI JSON layout (one object per trace with
-  ``spans`` and ``processes``);
-* ``otlp`` — the original flat OTLP-like span list, kept for
-  backwards compatibility;
-* ``otlp-json`` — the canonical OTLP/JSON shape used by the continuous
-  pipeline: ``resourceSpans`` → resource (attribute kv-list) →
-  ``scopeSpans`` → scope → spans, with 32-hex trace ids, 16-hex span
+* :func:`trace_to_jaeger` — the Jaeger UI JSON layout (one object per
+  trace with ``spans`` and ``processes``);
+* :func:`trace_to_otlp_json` — the canonical OTLP/JSON shape used by the
+  continuous pipeline: ``resourceSpans`` → resource (attribute kv-list)
+  → ``scopeSpans`` → scope → spans, with 32-hex trace ids, 16-hex span
   ids, int64 timestamps as decimal strings, and span attributes that
   follow the OBI naming conventions (``net.host.name``,
   ``http.method``, ``http.route``, ``http.status_code``) documented in
   :data:`SPAN_ATTRIBUTE_CONVENTIONS`.
 
-``otlp-json`` is encoded in one pass, :class:`Span` to wire dicts, and
+OTLP/JSON is encoded in one pass, :class:`Span` to wire dicts, and
 round-trips: :func:`decode_otlp_json` validates the full schema (raising
 :class:`OtlpDecodeError` on any deviation) and its inverse
 :func:`encode_decoded` re-encodes the decoded form byte-identically —
@@ -99,7 +97,7 @@ def _hex_id(value: int | None, width: int = 16) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Jaeger + legacy OTLP forms (unchanged shapes)
+# Jaeger form
 # ---------------------------------------------------------------------------
 
 def span_to_jaeger(span: Span, trace_id: str) -> dict[str, Any]:
@@ -148,32 +146,6 @@ def trace_to_jaeger(trace: Trace) -> dict[str, Any]:
         "spans": [span_to_jaeger(span, trace_id) for span in trace],
         "processes": processes,
     }
-
-
-def trace_to_otlp(trace: Trace) -> list[dict[str, Any]]:
-    """A flat OTLP-like span list (one dict per span; legacy form)."""
-    roots = trace.roots()
-    trace_id = _hex_id(roots[0].span_id if roots else 0, width=32)
-    out = []
-    for span in trace:
-        out.append({
-            "traceId": trace_id,
-            "spanId": _hex_id(span.span_id),
-            "parentSpanId": _hex_id(span.parent_id),
-            "name": span.endpoint or span.protocol or "span",
-            "kind": ("SPAN_KIND_SERVER" if span.side.value == "s"
-                     else "SPAN_KIND_CLIENT" if span.side.value == "c"
-                     else "SPAN_KIND_INTERNAL"),
-            "startTimeUnixNano": int(span.start_time * 1e9),
-            "endTimeUnixNano": int(span.end_time * 1e9),
-            "status": {"code": ("STATUS_CODE_ERROR" if span.is_error
-                                else "STATUS_CODE_OK")},
-            "attributes": {**{str(k): str(v)
-                              for k, v in span.tags.items()},
-                           **{str(k): v
-                              for k, v in span.metrics.items()}},
-        })
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +672,8 @@ class OtlpStreamExporter:
     """Collects OTLP-shaped payloads from the continuous pipeline.
 
     Stands in for an OTLP/HTTP push endpoint: the continuous assembler
-    hands it every finished trace, the server hands it metric
-    snapshots, and tests/benches read ``trace_payloads`` /
-    ``metric_payloads`` back.  ``validate=True`` runs every payload
+    hands it every finished trace, and tests/benches read
+    ``trace_payloads`` back.  ``validate=True`` runs every payload
     through the schema decoder on the way in (cheap insurance in tests;
     off by default for throughput benches).
     """
@@ -712,7 +683,6 @@ class OtlpStreamExporter:
         self.validate = validate
         self.keep_payloads = keep_payloads
         self.trace_payloads: list[dict] = []
-        self.metric_payloads: list[dict] = []
         self.exported_traces = 0
         self.exported_spans = 0
 
@@ -727,51 +697,9 @@ class OtlpStreamExporter:
         self.exported_spans += len(trace)
         return payload
 
-    def export_metrics(self, metrics: PipelineMetrics,
-                       now: float) -> dict[str, Any]:
-        """Encode and record one metrics snapshot at sim time *now*."""
-        payload = metrics_to_otlp_json(metrics, now)
-        if self.validate:
-            decode_otlp_metrics(payload)
-        if self.keep_payloads:
-            self.metric_payloads.append(payload)
-        return payload
-
     def stats(self) -> dict[str, int]:
         """Exporter-side counters for pipeline_stats()."""
         return {
             "exported_traces": self.exported_traces,
             "exported_spans": self.exported_spans,
-            "metric_snapshots": len(self.metric_payloads),
         }
-
-
-# ---------------------------------------------------------------------------
-# Format registry
-# ---------------------------------------------------------------------------
-
-#: Export-format registry: name → payload builder.  New formats plug in
-#: via :func:`register_format` instead of growing an if/elif chain.
-FORMATS: dict[str, Callable[[Trace], Any]] = {}
-
-
-def register_format(name: str,
-                    builder: Callable[[Trace], Any]) -> None:
-    """Register (or replace) the payload builder for format *name*."""
-    FORMATS[name] = builder
-
-
-register_format("jaeger", lambda trace: {"data": [trace_to_jaeger(trace)]})
-register_format("otlp", trace_to_otlp)
-register_format("otlp-json", trace_to_otlp_json)
-
-
-def trace_to_json(trace: Trace, fmt: str = "jaeger", indent: int = 2
-                  ) -> str:
-    """Serialize a trace in a registered format (see :data:`FORMATS`)."""
-    builder = FORMATS.get(fmt)
-    if builder is None:
-        supported = ", ".join(sorted(FORMATS))
-        raise ValueError(f"unknown export format {fmt!r}; supported "
-                         f"formats: {supported}")
-    return json.dumps(builder(trace), indent=indent, sort_keys=True)

@@ -248,10 +248,6 @@ class HookRegistry:
         if not programs:
             del self._hooks[hook_name]
 
-    def detach_all(self) -> None:
-        """Remove every attached program."""
-        self._hooks.clear()
-
     def attached(self, hook_name: str) -> list[BPFProgram]:
         """Programs currently attached to *hook_name*."""
         return list(self._hooks.get(hook_name, ()))
@@ -370,26 +366,3 @@ class PerfBuffer:
     def close(self) -> None:
         """Close and release the resource."""
         self._queue.close()
-
-
-@dataclass
-class UprobeTarget:
-    """A user-space function that uprobe/uretprobe hooks can intercept.
-
-    The canonical use in the paper is ``ssl_read``/``ssl_write``: the
-    syscall layer only sees ciphertext, while the uprobe sees the plaintext
-    argument before encryption (§3.2.1, instrumentation extensions).
-    """
-
-    process_name: str
-    function: str
-
-    @property
-    def enter_hook(self) -> str:
-        """Hook name fired at function entry."""
-        return f"uprobe:{self.process_name}:{self.function}"
-
-    @property
-    def exit_hook(self) -> str:
-        """Hook name fired at function return."""
-        return f"uretprobe:{self.process_name}:{self.function}"

@@ -81,10 +81,6 @@ class FlowMetricsStore:
         self._by_tuple[five_tuple.canonical()] = metrics
         return metrics
 
-    def by_flow_id(self, flow_id: int) -> FlowMetrics:
-        """Metrics for *flow_id*."""
-        return self._by_id[flow_id]
-
     def lookup(self, five_tuple: FiveTuple) -> FlowMetrics | None:
         """Look up by key, or None."""
         return self._by_tuple.get(five_tuple.canonical())

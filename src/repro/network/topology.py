@@ -66,19 +66,9 @@ class Device:
         self.arp_peers: set[str] = set()
         self.connects_refused = 0
 
-    @property
-    def capture_enabled(self) -> bool:
-        """Whether any capture callback is subscribed."""
-        return bool(self.capture_callbacks)
-
     def add_fault(self, fault) -> None:
         """Attach *fault* to this device."""
         self.faults.append(fault)
-
-    def remove_fault(self, fault) -> None:
-        """Detach *fault* if attached."""
-        if fault in self.faults:
-            self.faults.remove(fault)
 
     def clear_faults(self) -> None:
         """Remove every fault from this device."""

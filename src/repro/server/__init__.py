@@ -6,7 +6,7 @@ traces at query time (Algorithm 1).
 """
 
 from repro.server.assembler import TraceAssembler
-from repro.server.database import AssociationFilter, SpanStore
+from repro.server.database import SpanStore
 from repro.server.encoding import (
     DirectEncoder,
     EncodingStats,
@@ -18,7 +18,6 @@ from repro.server.server import DeepFlowServer
 from repro.server.tags import TagRegistry
 
 __all__ = [
-    "AssociationFilter",
     "DeepFlowServer",
     "DirectEncoder",
     "EncodingStats",

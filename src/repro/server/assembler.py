@@ -1,10 +1,14 @@
-"""Iterative trace assembling (Algorithm 1) and the parent-rule table.
+"""Trace assembling (Algorithm 1) and the parent-rule table.
 
-Phase 1 — iterative span search: starting from a user-chosen span, the
-filter accumulates every association key of the current span set
+Phase 1 — span search: the paper iterates, starting from a user-chosen
+span, accumulating every association key of the current span set
 (systrace_id, pseudo-thread id, X-Request-ID, per-flow TCP sequence,
-third-party trace id) and re-queries the database until the set stops
-growing or the iteration limit (default 30) is reached.
+third-party trace id) and re-querying the database until the set stops
+growing.  That fixed point is a connected component of the association
+graph, which the span store maintains incrementally in a union-find, so
+the assembler reads it out in one step; the iterative search itself
+lives in :mod:`repro.server.reference`, the oracle the property tests
+and Fig 15 compare against.
 
 Phase 2 — parent assignment: a rule table keyed on collection location
 (client/server side), span kind, timing, and message identity.  The paper
@@ -24,11 +28,7 @@ from typing import Optional
 
 from repro.core.span import (CANONICAL_ORDER, Span, SpanKind, SpanSide,
                              Trace)
-from repro.server.database import (QUEUE_RELAY_PROTOCOLS,
-                                   AssociationFilter, SpanStore)
-
-#: Default iteration bound of Algorithm 1 ("the default is 30").
-DEFAULT_ITERATIONS = 30
+from repro.server.database import QUEUE_RELAY_PROTOCOLS, SpanStore
 
 #: Slack allowed when comparing intervals across hosts (clock skew &
 #: capture-position effects), seconds.
@@ -43,90 +43,26 @@ _PATH_INDEX = attrgetter("path_index")
 class TraceAssembler:
     """Assembles traces from the span store on demand.
 
-    Phase 1 has two interchangeable implementations:
-
-    * the **fast path** (``use_index=True``, the default) reads the trace
-      component straight out of the store's incremental union-find — a
-      near-O(α) lookup plus the component read-out;
-    * the **reference path** (``use_index=False``) runs the paper's
-      iterative search, kept both for fidelity (it *is* Algorithm 1) and
-      as the oracle the property tests compare the index against.
-
-    Both compute the same fixed point: "all spans reachable from the
-    start span through shared association keys" is a connected component
-    of the association graph, which is exactly what the union-find
-    maintains incrementally.
-
     The *store* may be a single :class:`SpanStore` or a
     :class:`repro.server.sharding.ShardedSpanStore` — the assembler only
-    needs ``get`` / ``search_new`` / ``component_spans``, and the
-    sharded store implements them as scatter-gather over its shards (the
-    fast path then merges per-shard components across boundaries).
+    needs ``component_spans``, which the sharded store implements as
+    scatter-gather, merging per-shard components across boundaries.
     """
 
     def __init__(self, store: "SpanStore",
-                 iterations: int = DEFAULT_ITERATIONS,
                  enable_queue_relay: bool = True,
-                 enable_x_request_id: bool = True,
-                 use_index: bool = True):
+                 enable_x_request_id: bool = True):
         self.store = store
-        self.iterations = iterations
         #: Ablation switches (benchmarks/test_ablations.py).
         self.enable_queue_relay = enable_queue_relay
         self.enable_x_request_id = enable_x_request_id
-        #: Fast path default; per-call override via collect/assemble.
-        self.use_index = use_index
-        self.last_iteration_count = 0
 
-    # -- phase 1: span search --------------------------------------------
-
-    def collect(self, start_span_id: int,
-                use_index: Optional[bool] = None) -> list[Span]:
-        """The span set of the trace containing *start_span_id*."""
-        if use_index is None:
-            use_index = self.use_index
-        if use_index:
-            spans = self.store.component_spans(start_span_id)
-            # The component is the search's fixed point: one "iteration".
-            self.last_iteration_count = 1
-            return spans
-        return self.collect_iterative(start_span_id)
-
-    def collect_iterative(self, start_span_id: int) -> list[Span]:
-        """Lines 1–16 of Algorithm 1 (the reference implementation).
-
-        Each round absorbs only the spans discovered in the previous
-        round into a persistent filter, and the store is only asked about
-        keys it has not answered yet — O(spans) absorbed overall instead
-        of O(spans × iterations), without changing the computed set.
-        """
-        store = self.store
-        start = store.get(start_span_id)
-        if start is None:
-            raise KeyError(f"unknown span id {start_span_id}")
-        assoc = AssociationFilter()
-        span_ids: set[int] = {start_span_id}
-        frontier: list[Span] = [start]
-        for iteration in range(self.iterations):
-            self.last_iteration_count = iteration + 1
-            for span in frontier:
-                assoc.absorb(span)
-            found = store.search_new(assoc)
-            found -= span_ids
-            if not found:
-                break
-            span_ids |= found
-            frontier = [store.get(span_id) for span_id in found]
-        return [store.get(span_id) for span_id in span_ids]
-
-    # -- phase 2: parent assignment ----------------------------------------
-
-    def assemble(self, start_span_id: int,
-                 use_index: Optional[bool] = None) -> Trace:
-        """Full Algorithm 1: collect, set parents, sort."""
-        spans = self.collect(start_span_id, use_index=use_index)
+    def assemble(self, start_span_id: int) -> Trace:
+        """The trace containing *start_span_id*: read its component out
+        of the store's union-find, set parents, sort."""
         return Trace._from_ordered(assign_parents(
-            spans, enable_queue_relay=self.enable_queue_relay,
+            self.store.component_spans(start_span_id),
+            enable_queue_relay=self.enable_queue_relay,
             enable_x_request_id=self.enable_x_request_id))
 
 

@@ -1,14 +1,15 @@
 """Span database with association-key indexes.
 
-Backs Algorithm 1 twice over: every association identifier the iterative
-search filters on (systrace_id, pseudo-thread, X-Request-ID, per-flow TCP
-sequence, third-party trace id, queue message key) has a per-axis
-secondary index for the reference search path, and the same keys feed an
-incremental union-find (:class:`repro.server.index.TraceGraphIndex`) so
-the fast path answers trace membership without iterating at all.  A time
-index supports span-list queries over a range (the Fig 15 workload); it
-is kept as a sorted main run plus a small unsorted tail merged lazily on
-first query, so inserts never pay the O(n) ``bisect.insort`` shift.
+Every association identifier of Algorithm 1 (systrace_id, pseudo-thread,
+X-Request-ID, per-flow TCP sequence, third-party trace id, queue message
+key) has a per-axis secondary index, and the same keys feed an
+incremental union-find (:class:`repro.server.index.TraceGraphIndex`), so
+trace membership is answered without iterating at all; the paper's
+iterative search (:mod:`repro.server.reference`) reads the postings
+through :meth:`SpanStore.carriers`.  A time index supports span-list
+queries over a range (the Fig 15 workload); it is kept as a sorted main
+run plus a small unsorted tail merged lazily on first query, so inserts
+never pay the O(n) ``bisect.insort`` shift.
 
 Ingest is the hot path — every span the fleet of agents ships lands in
 :meth:`SpanStore.insert_many` — so the store is write-optimized the way
@@ -30,71 +31,12 @@ price ingest, index commit, and queries separately.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.core.span import Span
-from repro.server.index import (
-    QUEUE_RELAY_PROTOCOLS,
-    TraceGraphIndex,
-    association_keys,
-)
+from repro.server.index import QUEUE_RELAY_PROTOCOLS, TraceGraphIndex
 
-__all__ = [
-    "AssociationFilter",
-    "QUEUE_RELAY_PROTOCOLS",
-    "SpanStore",
-]
-
-
-@dataclass
-class AssociationFilter:
-    """The filter built up by Algorithm 1 (lines 6–10).
-
-    Besides the per-axis key sets, the filter tracks which keys have not
-    yet been handed to :meth:`SpanStore.search_new`, so the iterative
-    reference path never re-queries a key it already resolved.
-    """
-
-    span_ids: set[int] = field(default_factory=set)
-    systrace_ids: set[int] = field(default_factory=set)
-    pseudo_threads: set[tuple] = field(default_factory=set)
-    x_request_ids: set[str] = field(default_factory=set)
-    flow_seqs: set[tuple] = field(default_factory=set)  # (flow_key, leg, seq)
-    otel_trace_ids: set[str] = field(default_factory=set)
-    #: (protocol, resource, message_id) — queue-relay extension.
-    message_keys: set[tuple] = field(default_factory=set)
-    #: Tagged keys added since the last ``search_new`` drain.
-    _pending_keys: list[tuple] = field(default_factory=list, repr=False)
-    _pending_ids: list[int] = field(default_factory=list, repr=False)
-
-    #: tag → attribute holding that axis's key set.
-    _AXES = {
-        "sys": "systrace_ids",
-        "pt": "pseudo_threads",
-        "xr": "x_request_ids",
-        "fs": "flow_seqs",
-        "ot": "otel_trace_ids",
-        "mq": "message_keys",
-    }
-
-    def absorb(self, span: Span) -> None:
-        """Add one span's association keys to the filter."""
-        if span.span_id not in self.span_ids:
-            self.span_ids.add(span.span_id)
-            self._pending_ids.append(span.span_id)
-        for key in association_keys(span):
-            bucket = getattr(self, self._AXES[key[0]])
-            value = key[1]
-            if value not in bucket:
-                bucket.add(value)
-                self._pending_keys.append(key)
-
-    def take_pending(self) -> tuple[list[int], list[tuple]]:
-        """Drain the not-yet-queried span ids and tagged keys."""
-        ids, self._pending_ids = self._pending_ids, []
-        keys, self._pending_keys = self._pending_keys, []
-        return ids, keys
+__all__ = ["QUEUE_RELAY_PROTOCOLS", "SpanStore"]
 
 
 class SpanStore:
@@ -103,10 +45,9 @@ class SpanStore:
     def __init__(self) -> None:
         self._spans: dict[int, Span] = {}
         # Per-axis secondary indexes, raw identifier → posting.  Raw
-        # keys (int/str/tuple) hash faster than tagged tuples, and the
-        # tags are only needed where axes meet (the filter's pending
-        # list); _axis_index maps a tag back to its index for that case.
-        # A posting starts as a bare span id and is promoted to a set on
+        # keys (int/str/tuple) hash faster than tagged tuples; the tags
+        # are only needed where axes meet (:meth:`carriers`).  A posting
+        # starts as a bare span id and is promoted to a set on
         # its first collision — most keys (e.g. per-flow TCP sequences)
         # are carried by exactly one span, and skipping the singleton
         # set allocation is a measurable share of the ingest budget.
@@ -116,14 +57,6 @@ class SpanStore:
         self._by_fs: dict[tuple, object] = {}
         self._by_ot: dict[str, object] = {}
         self._by_mq: dict[tuple, object] = {}
-        self._axis_index = {
-            "sys": self._by_sys,
-            "pt": self._by_pt,
-            "xr": self._by_xr,
-            "fs": self._by_fs,
-            "ot": self._by_ot,
-            "mq": self._by_mq,
-        }
         #: sorted main run of (start_time, span_id, span), extended from
         #: the tail by the time commit; ids are unique, spans not compared.
         self._time_index: list[tuple[float, int, Span]] = []
@@ -137,7 +70,6 @@ class SpanStore:
         #: by the key commit — read it through :meth:`component_ids` /
         #: :meth:`component_spans`, or call :meth:`flush` first.
         self.graph = TraceGraphIndex()
-        self.search_count = 0
         #: Optional first-seen-key sink.  When armed (set to a list, as
         #: :class:`repro.server.sharding.ShardedSpanStore` does per
         #: shard), the key commit appends one ``(tag, value, span_id)``
@@ -390,55 +322,19 @@ class SpanStore:
 
     # -- Algorithm 1 support -------------------------------------------------
 
-    def search(self, assoc: AssociationFilter) -> set[int]:
-        """All span ids matching any key in the filter (line 12)."""
-        self._commit_keys()
-        self.search_count += 1
-        spans_map = self._spans
-        result: set[int] = set(
-            span_id for span_id in assoc.span_ids if span_id in spans_map)
-        for tag, axis in AssociationFilter._AXES.items():
-            index = self._axis_index[tag]
-            for value in getattr(assoc, axis):
-                ids = index.get(value)
-                if ids is None:
-                    continue
-                if ids.__class__ is int:
-                    result.add(ids)
-                else:
-                    result |= ids
-        return result
-
-    def search_new(self, assoc: AssociationFilter) -> set[int]:
-        """Span ids matching keys *not yet queried* through this filter.
-
-        The iterative reference path accumulates results across rounds,
-        so re-querying keys it already resolved is pure waste; draining
-        only the filter's pending keys cuts each round to the frontier.
-        The union over rounds equals a full :meth:`search`, because a
-        key's posting set never changes during a query.
+    def carriers(self, tagged_keys: Iterable[tuple]) -> set[int]:
+        """Ids of the spans carrying any of *tagged_keys* —
+        ``(tag, value)`` pairs as :func:`repro.server.index.
+        association_keys` yields them — with pending keys committed
+        first.  The postings' one read-only window: what the iterative
+        reference search (:mod:`repro.server.reference`) asks each round.
         """
         self._commit_keys()
-        self.search_count += 1
-        pending_ids, pending_keys = assoc.take_pending()
-        return self.lookup_tagged(pending_ids, pending_keys)
-
-    def lookup_tagged(self, span_ids: Iterable[int],
-                      tagged_keys: Iterable[tuple]) -> set[int]:
-        """Resolve explicit span ids and tagged keys against this
-        store's postings (no commit, no filter bookkeeping).
-
-        The scatter half of the sharded store's fan-out: the router
-        drains one filter's pending frontier once and broadcasts the
-        same id/key lists to every shard through this method.  Callers
-        must have committed keys first.
-        """
-        spans_map = self._spans
-        result: set[int] = set(
-            span_id for span_id in span_ids if span_id in spans_map)
-        axis_index = self._axis_index
+        axes = {"sys": self._by_sys, "pt": self._by_pt, "xr": self._by_xr,
+                "fs": self._by_fs, "ot": self._by_ot, "mq": self._by_mq}
+        result: set[int] = set()
         for tag, value in tagged_keys:
-            ids = axis_index[tag].get(value)
+            ids = axes[tag].get(value)
             if ids is None:
                 continue
             if ids.__class__ is int:

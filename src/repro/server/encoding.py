@@ -70,10 +70,6 @@ class EncodingStats:
         """Baseline + buffer + dictionary footprint."""
         return BASELINE_MEMORY_BYTES + self.buffer_bytes + self.dict_bytes
 
-    def per_row_disk(self) -> float:
-        """Average encoded bytes per row."""
-        return self.disk_bytes / self.rows if self.rows else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"EncodingStats(rows={self.rows}, "
                 f"disk={self.disk_bytes}, dict={self.dict_bytes}, "

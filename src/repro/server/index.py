@@ -21,9 +21,9 @@ directly.  This keeps the ingest hot path from paying forest setup for
 singleton spans, and lets :meth:`link` batches coalesce.
 
 The iterative search survives as the property-tested reference
-implementation (:meth:`repro.server.assembler.TraceAssembler.collect`
-with ``use_index=False``); the Fig 15 benchmark reports both so the
-paper's span-list vs trace-query ratio story stays visible.
+implementation (:func:`repro.server.reference.collect_iterative`); the
+Fig 15 benchmark reports both so the paper's span-list vs trace-query
+ratio story stays visible.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def association_keys(span) -> list[tuple]:
     """The tagged association keys one span contributes to Algorithm 1.
 
     This is the reference definition of the association axes, shared by
-    :meth:`repro.server.database.AssociationFilter.absorb` (the
-    iterative path) and :meth:`TraceGraphIndex.add_span`; the span
+    :func:`repro.server.reference.collect_iterative` (the iterative
+    path) and :meth:`TraceGraphIndex.add_span`; the span
     store's fused ingest loop inlines the same checks per axis and the
     fast-vs-reference property test holds the two in lock step.  Tags
     keep the per-axis key spaces disjoint:
@@ -192,19 +192,6 @@ class TraceGraphIndex:
         A dict keys view: O(1) membership, live, no copy."""
         return self._parent.keys()
 
-    def find(self, span_id: int) -> int:
-        """Component representative of *span_id* (path halving).
-
-        Implicit singletons are their own representative.
-        """
-        parent = self._parent
-        if span_id not in parent:
-            return span_id
-        while parent[span_id] != span_id:
-            parent[span_id] = parent[parent[span_id]]
-            span_id = parent[span_id]
-        return span_id
-
     def component(self, span_id: int) -> set[int]:
         """Every span id in *span_id*'s component.
 
@@ -220,11 +207,3 @@ class TraceGraphIndex:
             parent[root] = parent[parent[root]]
             root = parent[root]
         return self._members[root]
-
-    def component_size(self, span_id: int) -> int:
-        """Number of spans in *span_id*'s component."""
-        return len(self.component(span_id))
-
-    def same_component(self, a: int, b: int) -> bool:
-        """Whether two spans belong to one trace component."""
-        return self.find(a) == self.find(b)

@@ -13,10 +13,10 @@ from typing import Callable, Optional
 from repro.core.export import OtlpStreamExporter, metrics_to_otlp_json
 from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span, SpanKind, SpanSide, Trace
-from repro.server.assembler import DEFAULT_ITERATIONS, TraceAssembler
+from repro.server.assembler import TraceAssembler
 from repro.server.database import SpanStore
 from repro.server.metricsdb import MetricsDatabase
-from repro.server.sharding import DEFAULT_WINDOW, ShardedSpanStore
+from repro.server.sharding import ShardedSpanStore
 from repro.server.streaming import ContinuousAssembler
 from repro.server.tags import TagRegistry
 
@@ -34,20 +34,17 @@ class DeepFlowServer:
     multi-cluster, multi-tenant deployment.
     """
 
-    def __init__(self, iterations: int = DEFAULT_ITERATIONS,
-                 shards: int = 1,
-                 shard_window: float = DEFAULT_WINDOW,
-                 streaming: bool = False):
+    def __init__(self, shards: int = 1, streaming: bool = False):
         self.pipeline_metrics = PipelineMetrics()
         if shards > 1:
-            self.store = ShardedSpanStore(shards, window=shard_window,
+            self.store = ShardedSpanStore(shards,
                                           metrics=self.pipeline_metrics)
         else:
             self.store = SpanStore()
         self.shards = shards
         self.tags = TagRegistry()
         self.metrics = MetricsDatabase()
-        self.assembler = TraceAssembler(self.store, iterations=iterations)
+        self.assembler = TraceAssembler(self.store)
         self._next_agent_index = 1
         self.ingested_spans = 0
         self._m_ingested = self.pipeline_metrics.counter(
@@ -90,16 +87,9 @@ class DeepFlowServer:
         """Register resource tags for (vpc, ip)."""
         self.tags.register(vpc, ip, tags)
 
-    def register_cloud_tags(self, vpc: str, ip: str,
-                            tags: dict[str, str]) -> None:
-        """Cloud resource tags arrive directly at the server (step ③)."""
-        self.tags.register(vpc, ip, tags)
-
     # -- continuous pipeline ----------------------------------------------
 
     def enable_streaming(self, *, exporter=None,
-                         latency_budgets: Optional[dict] = None,
-                         budget_sink=None,
                          **assembler_kwargs) -> ContinuousAssembler:
         """Turn on the push path: arm the store's component-event sink
         and attach a :class:`ContinuousAssembler` fed by every later
@@ -114,8 +104,6 @@ class DeepFlowServer:
         self.streaming = ContinuousAssembler(
             self.store, metrics=self.pipeline_metrics,
             exporter=exporter, **assembler_kwargs)
-        if latency_budgets:
-            self.streaming.set_budget_sink(budget_sink, latency_budgets)
         return self.streaming
 
     def pipeline_stats(self) -> dict:
@@ -237,17 +225,11 @@ class DeepFlowServer:
                 out.append(span)
         return out
 
-    def trace(self, start_span_id: int,
-              use_index: Optional[bool] = None) -> Trace:
-        """Assemble the trace containing *start_span_id*.
-
-        By default the span set comes from the incremental
-        association-graph index (near-O(α) component lookup);
-        ``use_index=False`` runs the iterative Algorithm 1 reference
-        instead (the Fig 15 benchmark times both).
-        """
-        trace = self.assembler.assemble(start_span_id,
-                                        use_index=use_index)
+    def trace(self, start_span_id: int) -> Trace:
+        """Assemble the trace containing *start_span_id*: its component
+        of the incremental association-graph index (near-O(α) lookup),
+        parented and sorted."""
+        trace = self.assembler.assemble(start_span_id)
         custom = self.tags.custom_tag_table()
         if custom:  # query-time join of self-defined labels (step ⑧)
             for span in trace.spans:

@@ -52,10 +52,10 @@ edges; the property tests in tests/test_trace_index_properties.py hold
 the two in lock step for shard counts up to 8).
 
 The seal/merge phases are exposed separately (:meth:`seal_shard`,
-:meth:`probe_partition`, :meth:`apply_boundary_links`) so the scaling
-benchmark can price each parallelizable phase on its own; callers that
-don't care use :meth:`flush` or just query (queries trigger the commits
-they need, same as the unsharded store).
+:meth:`probe_partition`, :meth:`apply_boundary_links`) so each can be
+tested and traced on its own; callers that don't care use :meth:`flush`
+or just query (queries trigger the commits they need, same as the
+unsharded store).
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.core.metrics import Counter, PipelineMetrics
 from repro.core.span import Span
-from repro.server.database import AssociationFilter, SpanStore
+from repro.server.database import SpanStore
 from repro.server.index import TraceGraphIndex
 
 __all__ = ["DEFAULT_WINDOW", "MAX_SHARDS", "ShardedSpanStore"]
@@ -108,15 +108,14 @@ def _partition_hash(tag: str, value: object) -> int:
 class ShardedSpanStore:
     """N-way sharded span store presenting the ``SpanStore`` query API.
 
-    Drop-in for :class:`repro.server.assembler.TraceAssembler`: both the
-    union-find fast path (``component_spans``) and the iterative
-    Algorithm 1 reference (``get`` / ``search_new``) work unchanged,
-    the latter fanning each round's frontier keys out to every shard.
+    Drop-in for :class:`repro.server.assembler.TraceAssembler`
+    (``component_spans``) and for the iterative Algorithm 1 reference
+    (``get`` / ``carriers``), which fans each round's frontier keys out
+    to every shard.
     """
 
     def __init__(self, shard_count: int = 4, *,
                  window: float = DEFAULT_WINDOW,
-                 boundary_partitions: Optional[int] = None,
                  metrics: Optional[PipelineMetrics] = None) -> None:
         if not 1 <= shard_count <= MAX_SHARDS:
             raise ValueError(
@@ -125,9 +124,8 @@ class ShardedSpanStore:
             raise ValueError("window must be positive")
         self.shard_count = shard_count
         self.window = window
-        self.partition_count = boundary_partitions or shard_count
-        if self.partition_count < 1:
-            raise ValueError("boundary_partitions must be >= 1")
+        #: Boundary partitions: one per shard.
+        self.partition_count = shard_count
         self.shards: list[SpanStore] = []
         for _ in range(shard_count):
             shard = SpanStore()
@@ -145,7 +143,6 @@ class ShardedSpanStore:
         #: sealed but not yet probed.
         self._buckets: list[list[tuple]] = [
             [] for _ in range(self.partition_count)]
-        self.search_count = 0
         #: Cross-shard links applied so far (observability: how much of
         #: the keyspace actually straddles shards).
         self.boundary_links = 0
@@ -442,34 +439,15 @@ class ShardedSpanStore:
         """The id-only view of :meth:`component_spans`' walk."""
         return {span.span_id for span in self.component_spans(span_id)}
 
-    def search(self, assoc: AssociationFilter,
-               tenant: Optional[str] = None) -> set[int]:
-        """Scatter one Algorithm 1 filter to every shard; union the
-        matches (optionally restricted to one tenant's spans)."""
-        self.search_count += 1
+    def carriers(self, tagged_keys: Iterable[tuple]) -> set[int]:
+        """Scatter :meth:`SpanStore.carriers` to every shard — each
+        commits its pending keys before answering — and union the
+        matches: one fan-out per round of the iterative reference
+        search, whichever shards hold the postings."""
+        tagged_keys = list(tagged_keys)
         result: set[int] = set()
         for shard in self.shards:
-            result |= shard.search(assoc)
-        if tenant is not None:
-            get = self.get
-            result = {span_id for span_id in result
-                      if (span := get(span_id)) is not None
-                      and span.tags.get("tenant") == tenant}
-        return result
-
-    def search_new(self, assoc: AssociationFilter) -> set[int]:
-        """Scatter the filter's not-yet-queried keys to every shard.
-
-        The pending frontier is drained once and broadcast, so the
-        iterative reference path costs one fan-out per round regardless
-        of which shards hold the matching postings.
-        """
-        self.search_count += 1
-        pending_ids, pending_keys = assoc.take_pending()
-        result: set[int] = set()
-        for shard in self.shards:
-            shard.commit_keys()
-            result |= shard.lookup_tagged(pending_ids, pending_keys)
+            result |= shard.carriers(tagged_keys)
         return result
 
     # -- span-list queries (Fig 15) ----------------------------------------

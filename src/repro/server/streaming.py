@@ -128,8 +128,7 @@ class ContinuousAssembler:
                  quiescent_after: float = 0.25,
                  finish_after: float = 1.0,
                  root_grace: float = 0.05,
-                 sweep_interval: float = 0.05,
-                 assemble_iterations: int = 0) -> None:
+                 sweep_interval: float = 0.05) -> None:
         if not 0 < root_grace <= quiescent_after <= finish_after:
             raise ValueError("need 0 < root_grace <= quiescent_after "
                              "<= finish_after")
@@ -140,7 +139,6 @@ class ContinuousAssembler:
         self.finish_after = finish_after
         self.root_grace = root_grace
         self.sweep_interval = sweep_interval
-        self.assemble_iterations = assemble_iterations
         #: span id → its live trace (evicted on retirement).
         self._state_of: dict[int, LiveTrace] = {}
         #: live-trace key → live trace.

@@ -6,9 +6,8 @@ import pytest
 
 from repro.apps.loadgen import LoadGenerator
 from repro.apps.runtime import HttpService, Response
-from repro.core.export import (FORMATS, decode_otlp_json, register_format,
-                               trace_to_jaeger, trace_to_json,
-                               trace_to_otlp, trace_to_otlp_json)
+from repro.core.export import (decode_otlp_json, trace_to_jaeger,
+                               trace_to_otlp_json)
 from repro.network.topology import ClusterBuilder
 from repro.network.transport import Network
 from repro.server.server import DeepFlowServer
@@ -88,18 +87,13 @@ class TestJaegerExport:
 
 
 class TestOtlpExport:
-    def test_flat_span_list(self, traced_world):
-        _server, _agents, trace, _report = traced_world
-        spans = trace_to_otlp(trace)
-        assert len(spans) == len(trace)
-        kinds = {span["kind"] for span in spans}
-        assert kinds == {"SPAN_KIND_SERVER", "SPAN_KIND_CLIENT"}
-        assert all(span["status"]["code"] == "STATUS_CODE_OK"
-                   for span in spans)
-
     def test_parent_ids_resolve(self, traced_world):
         _server, _agents, trace, _report = traced_world
-        spans = trace_to_otlp(trace)
+        spans = [span
+                 for entry in trace_to_otlp_json(trace)["resourceSpans"]
+                 for span in entry["scopeSpans"][0]["spans"]]
+        assert ({span["kind"] for span in spans}
+                == {"SPAN_KIND_SERVER", "SPAN_KIND_CLIENT"})
         ids = {span["spanId"] for span in spans}
         roots = [span for span in spans if not span["parentSpanId"]]
         assert len(roots) == 1
@@ -157,27 +151,10 @@ class TestOtlpJsonExport:
 class TestJsonSerialization:
     def test_round_trips_through_json(self, traced_world):
         _server, _agents, trace, _report = traced_world
-        for fmt in ("jaeger", "otlp", "otlp-json"):
-            text = trace_to_json(trace, fmt=fmt)
-            assert json.loads(text)
-
-    def test_unknown_format_lists_supported(self, traced_world):
-        _server, _agents, trace, _report = traced_world
-        with pytest.raises(ValueError) as excinfo:
-            trace_to_json(trace, fmt="zipkin-thrift")
-        message = str(excinfo.value)
-        assert "zipkin-thrift" in message
-        for fmt in sorted(FORMATS):
-            assert fmt in message
-
-    def test_registry_extends_without_code_changes(self, traced_world):
-        _server, _agents, trace, _report = traced_world
-        register_format("span-count", lambda t: {"spans": len(t)})
-        try:
-            payload = json.loads(trace_to_json(trace, fmt="span-count"))
-            assert payload == {"spans": len(trace)}
-        finally:
-            del FORMATS["span-count"]
+        for encode in (trace_to_jaeger, trace_to_otlp_json):
+            payload = encode(trace)
+            text = json.dumps(payload, indent=2, sort_keys=True)
+            assert json.loads(text) == payload
 
 
 class TestAgentStats:

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from repro.core.ids import IdAllocator
 from repro.core.span import Span, SpanKind, SpanSide, Trace
 from repro.server.assembler import TraceAssembler, assign_parents
-from repro.server.database import AssociationFilter, SpanStore
+from repro.server.database import SpanStore
 from repro.server.encoding import (
     DirectEncoder,
     LowCardinalityEncoder,
     SmartEncoder,
 )
+from repro.server.index import association_keys
 from repro.server.metricsdb import MetricsDatabase
+from repro.server.reference import collect_iterative
 from repro.server.server import DeepFlowServer
 from repro.server.tags import TagRegistry
 
@@ -65,9 +67,7 @@ class TestSpanStore:
         b = span(systrace_id=77)
         c = span(systrace_id=78)
         store.insert_many([a, b, c])
-        assoc = AssociationFilter()
-        assoc.absorb(a)
-        found = store.search(assoc)
+        found = store.carriers(association_keys(a))
         assert found == {a.span_id, b.span_id}
 
     def test_search_by_flow_seq_distinguishes_direction(self):
@@ -75,19 +75,16 @@ class TestSpanStore:
         a = span(flow_key=("f",), req_tcp_seq=1)
         b = span(flow_key=("f",), resp_tcp_seq=1)
         store.insert_many([a, b])
-        assoc = AssociationFilter()
-        assoc.absorb(a)
         # Same numeric seq but a's is a request seq, b's a response seq.
-        assert store.search(assoc) == {a.span_id}
+        assert store.carriers(association_keys(a)) == {a.span_id}
 
     def test_search_by_x_request_id(self):
         store = SpanStore()
         a = span(x_request_id="r-1")
         b = span(x_request_id="r-1")
         store.insert_many([a, b])
-        assoc = AssociationFilter()
-        assoc.absorb(a)
-        assert store.search(assoc) == {a.span_id, b.span_id}
+        assert store.carriers(association_keys(a)) == {a.span_id,
+                                                       b.span_id}
 
     def test_span_list_time_range(self):
         store = SpanStore()
@@ -121,18 +118,21 @@ class TestAssembler:
         store = SpanStore()
         client, server = self._linked_pair()
         store.insert_many([client, server])
-        assembler = TraceAssembler(store)
-        collected = assembler.collect(client.span_id)
-        assert {s.span_id for s in collected} == {client.span_id,
-                                                  server.span_id}
+        expected = {client.span_id, server.span_id}
+        trace = TraceAssembler(store).assemble(client.span_id)
+        assert {s.span_id for s in trace} == expected
+        found = collect_iterative(store, client.span_id)
+        assert {s.span_id for s in found.spans} == expected
 
     def test_collect_terminates_on_fixpoint(self):
         store = SpanStore()
         client, server = self._linked_pair()
         store.insert_many([client, server])
-        assembler = TraceAssembler(store)
-        assembler.collect(client.span_id)
-        assert assembler.last_iteration_count <= 3
+        found = collect_iterative(store, client.span_id)
+        assert found.rounds <= 3
+        # Frontier-only rounds: each distinct key is asked about once.
+        assert found.lookups == len({key for s in (client, server)
+                                     for key in association_keys(s)})
 
     def test_iteration_limit_respected(self):
         store = SpanStore()
@@ -144,13 +144,12 @@ class TestAssembler:
                               flow_key=("f",),
                               req_tcp_seq=(i + 1) // 2 * 1000 + 7))
         store.insert_many(chain)
-        assembler = TraceAssembler(store, iterations=3)
-        collected = assembler.collect(chain[0].span_id, use_index=False)
-        assert assembler.last_iteration_count == 3
-        assert len(collected) < len(chain)
-        # The fast path has no iteration cap: the component is already
+        found = collect_iterative(store, chain[0].span_id, iterations=3)
+        assert found.rounds == 3
+        assert len(found.spans) < len(chain)
+        # The union-find has no iteration cap: the component is already
         # materialized, so the full chain comes back.
-        assert len(assembler.collect(chain[0].span_id)) == len(chain)
+        assert len(store.component_spans(chain[0].span_id)) == len(chain)
 
     def test_server_parented_under_client(self):
         client, server = self._linked_pair()
@@ -223,9 +222,11 @@ class TestAssembler:
         assert client.parent_id == app.span_id
 
     def test_unknown_start_span_raises(self):
-        assembler = TraceAssembler(SpanStore())
+        store = SpanStore()
         with pytest.raises(KeyError):
-            assembler.collect(123456)
+            TraceAssembler(store).assemble(123456)
+        with pytest.raises(KeyError):
+            collect_iterative(store, 123456)
 
 
 class TestTrace:
@@ -548,15 +549,15 @@ class TestStoreProperties:
                     min_size=1, max_size=30))
     @settings(max_examples=50)
     def test_search_is_monotone_in_filter(self, pairs):
-        """Absorbing more spans never shrinks the search result."""
+        """Asking about more spans' keys never shrinks the answer."""
         store = SpanStore()
         spans = [span(systrace_id=a, flow_key=("f",), req_tcp_seq=b)
                  for a, b in pairs]
         store.insert_many(spans)
-        assoc = AssociationFilter()
+        keys: list = []
         previous: set = set()
         for s in spans:
-            assoc.absorb(s)
-            current = store.search(assoc)
+            keys += association_keys(s)
+            current = store.carriers(keys)
             assert previous <= current
             previous = current

@@ -3,8 +3,7 @@
 The equivalence of scatter-gather ``trace()`` with a single unsharded
 store is property-tested in test_trace_index_properties.py; this file
 pins the mechanics — deterministic routing, the seal/probe/merge phase
-APIs the scaling benchmark prices separately, tenant label threading,
-and the observability counters.
+APIs, tenant label threading, and the observability counters.
 """
 
 import os
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.span import Span, SpanKind, SpanSide
 from repro.server.database import SpanStore
+from repro.server.index import association_keys
 from repro.server.server import DeepFlowServer
 from repro.server.sharding import (MAX_SHARDS, ShardedSpanStore,
                                    _partition_hash)
@@ -354,6 +354,17 @@ class TestBoundaryPhases:
         assert store.component_ids(0) == {0, 1}
         assert store.boundary_links > 0
 
+    def test_carriers_commits_every_shard_before_answering(self):
+        """The reference search's accessor must see spans nothing has
+        queried yet: every shard commits its pending keys first."""
+        store, spans = self.build()
+        assert all(shard.pending_key_count() for shard in store.shards)
+        keys = [key for span in spans[:2] for key in association_keys(span)]
+        assert store.carriers(keys) == {0, 1}
+        assert not any(shard.pending_key_count() for shard in store.shards)
+        # Committing there must not hide the keys from the boundary seal.
+        assert store.component_ids(0) == {0, 1}
+
     def test_shard_stats_shape(self):
         store, spans = self.build()
         store.flush()
@@ -382,18 +393,15 @@ class TestTenancy:
             range(10)) + sorted(range(100, 110))
 
     def test_search_tenant_filter(self):
-        from repro.server.database import AssociationFilter
         store = ShardedSpanStore(2)
         a = make_span(1, systrace=9)
         b = make_span(2, systrace=9)
         store.insert_many([a], tenant="acme")
         store.insert_many([b], tenant="globex")
-        assoc = AssociationFilter()
-        assoc.absorb(a)
-        assert store.search(assoc) == {1, 2}
-        assoc2 = AssociationFilter()
-        assoc2.absorb(a)
-        assert store.search(assoc2, tenant="acme") == {1}
+        found = store.carriers(association_keys(a))
+        assert found == {1, 2}
+        assert {span_id for span_id in found
+                if store.get(span_id).tags.get("tenant") == "acme"} == {1}
 
     def test_labels_do_not_partition_traces(self):
         """Labels are filters, not walls: two tenants' spans sharing an

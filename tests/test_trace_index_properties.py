@@ -1,8 +1,8 @@
 """Property tests: the trace-graph index against the Algorithm 1 oracle.
 
-The fast path answers "which spans form this trace?" from an
-incrementally maintained union-find; the reference path iterates the
-paper's Algorithm 1.  Both must compute the same fixed point — the
+Production answers "which spans form this trace?" from an
+incrementally maintained union-find; :mod:`repro.server.reference`
+iterates the paper's Algorithm 1.  Both must compute the same fixed point — the
 connected component of the association graph — on any span population,
 for any insertion order and batching, with queue-relay keys in play and
 the ablation flags in every combination.
@@ -20,11 +20,12 @@ from repro.core.span import Span, SpanKind, SpanSide
 from repro.server.assembler import TraceAssembler
 from repro.server.database import SpanStore
 from repro.server.index import association_keys
+from repro.server.reference import assemble_iterative, collect_iterative
 from repro.server.sharding import ShardedSpanStore
 
 #: Small key domains keep the random association graphs densely
 #: connected, so the iterative reference converges far below the
-#: generous iteration budget the test assemblers run with.
+#: generous iteration budget these tests give it.
 _SYSTRACE = st.none() | st.integers(min_value=0, max_value=5)
 _PTHREAD = st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2))
 _XREQ = st.none() | st.sampled_from(["xa", "xb", "xc"])
@@ -87,25 +88,28 @@ def _oracle_component(spans, start_id):
     return component
 
 
-def _assembler(store):
-    # A generous iteration budget: these tests check the *un-truncated*
-    # fixed point, not the production cap (which is covered separately
-    # by test_server_components.py).
-    return TraceAssembler(store, iterations=200)
+#: A generous iteration budget: these tests check the *un-truncated*
+#: fixed point, not the paper's default cap (which is covered
+#: separately by test_server_components.py).
+ITERATIONS = 200
+
+
+def _reference_ids(store, span_id):
+    found = collect_iterative(store, span_id, ITERATIONS)
+    assert found.rounds < ITERATIONS  # converged, not truncated
+    return {s.span_id for s in found.spans}
 
 
 @settings(max_examples=120, deadline=None)
 @given(spans=span_lists())
 def test_fast_path_matches_reference_and_oracle(spans):
-    """collect() == collect_iterative() == BFS oracle, from every start."""
+    """component_spans() == collect_iterative() == BFS oracle, from
+    every start."""
     store = SpanStore()
     store.insert_many(spans)
-    assembler = _assembler(store)
     for span in spans:
-        fast = {s.span_id for s in assembler.collect(span.span_id)}
-        reference = {s.span_id
-                     for s in assembler.collect_iterative(span.span_id)}
-        assert fast == reference
+        fast = {s.span_id for s in store.component_spans(span.span_id)}
+        assert fast == _reference_ids(store, span.span_id)
         assert fast == _oracle_component(spans, span.span_id)
 
 
@@ -146,20 +150,23 @@ def test_incremental_inserts_match_bulk_insert(spans, cut,
 @given(spans=span_lists(),
        queue_relay=st.booleans(),
        x_request_id=st.booleans(),
-       use_index=st.booleans())
+       iterative=st.booleans())
 def test_assemble_span_set_stable_under_ablations(spans, queue_relay,
                                                   x_request_id,
-                                                  use_index):
+                                                  iterative):
     """The ablation flags change parent wiring, never trace membership,
     on either path."""
     store = SpanStore()
     store.insert_many(spans)
-    assembler = TraceAssembler(store, iterations=200,
-                               enable_queue_relay=queue_relay,
-                               enable_x_request_id=x_request_id,
-                               use_index=use_index)
     start = spans[0].span_id
-    trace = assembler.assemble(start)
+    if iterative:
+        trace = assemble_iterative(store, start, ITERATIONS,
+                                   enable_queue_relay=queue_relay,
+                                   enable_x_request_id=x_request_id)
+    else:
+        trace = TraceAssembler(
+            store, enable_queue_relay=queue_relay,
+            enable_x_request_id=x_request_id).assemble(start)
     assert ({span.span_id for span in trace}
             == _oracle_component(spans, start))
 
@@ -211,16 +218,15 @@ def test_sharded_components_match_unsharded(spans, shards, window,
 @settings(max_examples=40, deadline=None)
 @given(spans=span_lists(), shards=st.integers(min_value=2, max_value=8))
 def test_sharded_fast_path_matches_iterative_reference(spans, shards):
-    """Over a sharded store, the assembler's union-find fast path and
+    """Over a sharded store, the scatter-gather union-find read-out and
     the iterative Algorithm 1 reference (which fans each round's
     frontier keys out to every shard) stay equivalent."""
     sharded = ShardedSpanStore(shards, window=1.0)
     sharded.insert_many(spans)
-    assembler = _assembler(sharded)
     for span in spans:
-        fast = {s.span_id for s in assembler.collect(span.span_id)}
-        reference = {s.span_id
-                     for s in assembler.collect_iterative(span.span_id)}
+        # Reference first: on the first start it meets uncommitted tails.
+        reference = _reference_ids(sharded, span.span_id)
+        fast = {s.span_id for s in sharded.component_spans(span.span_id)}
         assert fast == reference
         assert fast == _oracle_component(spans, span.span_id)
 

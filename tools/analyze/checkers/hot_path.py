@@ -66,7 +66,7 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     "SpanStore": ("insert", "insert_many", "span_list"),
     "ShardedSpanStore": ("insert", "insert_many", "route_batches",
                          "component_spans", "component_ids", "span_list"),
-    "TraceGraphIndex": ("add_span", "add", "link", "link_batch", "find"),
+    "TraceGraphIndex": ("add_span", "add", "link", "link_batch"),
     "DeepFlowAgent": ("poll", "_process_event", "_dispatch_slow",
                       "_process_coroutine_event", "_process_close_event",
                       "_process_uprobe_record", "_process_syscall_record",
