@@ -27,17 +27,12 @@ class KafkaService(Component):
         self.topics: dict[str, int] = {}  # topic -> message count
         self.requests_served = 0
 
-    def message_complete(self, buffer: bytes) -> bool:
-        """Whether *buffer* holds one full request."""
+    def frame_length(self, buffer: bytes) -> Optional[int]:
+        """Length of the size-prefixed frame at the front, once whole."""
         if len(buffer) < 4:
-            return False
-        size = struct.unpack(">i", buffer[:4])[0]
-        return len(buffer) >= size + 4
-
-    def split_message(self, buffer: bytes) -> tuple[bytes, bytes]:
-        """Split one size-prefixed frame off the front."""
-        size = struct.unpack(">i", buffer[:4])[0]
-        return buffer[:size + 4], buffer[size + 4:]
+            return None
+        length = 4 + struct.unpack(">i", buffer[:4])[0]
+        return length if len(buffer) >= length else None
 
     def handle_payload(self, worker: WorkerContext,
                        data: bytes) -> Generator:
@@ -106,17 +101,12 @@ class DubboService(Component):
         """Register an RPC method returning *result*."""
         self.methods[method] = lambda: result
 
-    def message_complete(self, buffer: bytes) -> bool:
-        """Whether *buffer* holds one full request."""
+    def frame_length(self, buffer: bytes) -> Optional[int]:
+        """Length of the Dubbo frame at the front, once whole."""
         if len(buffer) < 16:
-            return False
-        body_len = struct.unpack(">I", buffer[12:16])[0]
-        return len(buffer) >= 16 + body_len
-
-    def split_message(self, buffer: bytes) -> tuple[bytes, bytes]:
-        """Split one Dubbo frame off the front."""
-        body_len = struct.unpack(">I", buffer[12:16])[0]
-        return buffer[:16 + body_len], buffer[16 + body_len:]
+            return None
+        length = 16 + struct.unpack(">I", buffer[12:16])[0]
+        return length if len(buffer) >= length else None
 
     def handle_payload(self, worker: WorkerContext,
                        data: bytes) -> Generator:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.apps.runtime import (
+    close_quietly,
     decode_http_response,
     http_message_complete,
     http_message_length,
@@ -41,6 +42,8 @@ class LoadReport:
     sent: int = 0
     completed: int = 0
     errors: int = 0
+    #: Teardown closes the kernel refused (fd already gone).
+    close_errors: int = 0
     #: Wall time actually taken to finish every scheduled request; under
     #: overload this exceeds *duration* (the backlog drains late).
     elapsed: float = 0.0
@@ -221,16 +224,10 @@ class LoadGenerator:
                     BrokenPipeError, ConnectionRefusedError):
                 report.errors += 1
                 if fd is not None:
-                    try:
-                        kernel.close(thread, fd)
-                    except Exception:  # noqa: BLE001
-                        pass
+                    report.close_errors += close_quietly(kernel, thread, fd)
                 fd = None
         if fd is not None:
-            try:
-                kernel.close(thread, fd)
-            except Exception:  # noqa: BLE001
-                pass
+            report.close_errors += close_quietly(kernel, thread, fd)
 
     # -- open-loop ramp mode ---------------------------------------------
 
@@ -270,10 +267,7 @@ class LoadGenerator:
         # been read, so the close events let observing agents promptly
         # fail any *half-observed* exchange instead of holding it open.
         for thread, fd in fds:
-            try:
-                self.kernel.close(thread, fd)
-            except Exception:  # noqa: BLE001
-                pass
+            report.close_errors += close_quietly(self.kernel, thread, fd)
         report.elapsed = self.sim.now - self._start_time
         return report
 

@@ -23,7 +23,6 @@ from repro.apps.runtime import (
     Response,
     WorkerContext,
     decode_http_request,
-    http_message_complete,
     http_message_length,
 )
 from repro.network.topology import Node, Pod
@@ -81,16 +80,7 @@ class NginxProxy(Component):
             self.sim.spawn(self._upstream_worker(upstream_thread),
                            name=f"{self.name}:upstream")
 
-    def message_complete(self, buffer: bytes) -> bool:
-        """Whether *buffer* holds one full request."""
-        return http_message_complete(buffer)
-
-    def split_message(self, buffer: bytes) -> tuple[bytes, bytes]:
-        """Split one HTTP message off the front (pipelining support)."""
-        length = http_message_length(buffer)
-        if length is None:
-            return buffer, b""
-        return buffer[:length], buffer[length:]
+    frame_length = staticmethod(http_message_length)
 
     def handle_payload(self, worker: WorkerContext,
                        data: bytes) -> Generator:

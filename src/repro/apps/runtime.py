@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
-from repro.kernel.kernel import Kernel
+from repro.kernel.kernel import Kernel, KernelError
 from repro.kernel.process import Coroutine, OSProcess, Thread
 from repro.network.topology import Node, Pod
 from repro.protocols import http1
@@ -66,6 +66,9 @@ class Component:
         self.process: Optional[OSProcess] = None
         self.running = False
         self.requests_handled = 0
+        #: Teardown closes the kernel refused (:func:`close_quietly`):
+        #: accepted connections plus their workers' pooled ones.
+        self.close_errors = 0
         self._main_thread: Optional[Thread] = None
         self._acceptor_coroutine: Optional[Coroutine] = None
 
@@ -117,14 +120,16 @@ class Component:
         buffer = b""
         try:
             while self.running:
-                while not (buffer and self.message_complete(buffer)):
+                length = self.frame_length(buffer)
+                while length is None:
                     self._enter(thread, coroutine)
                     data = yield from self.kernel.recv_abi(
                         self.ingress_abi, thread, fd)
                     if not data:
                         return
                     buffer += data
-                request, buffer = self.split_message(buffer)
+                    length = self.frame_length(buffer)
+                request, buffer = buffer[:length], buffer[length:]
                 self.requests_handled += 1
                 reply = yield from self.handle_payload(worker, request)
                 if reply is None:
@@ -136,27 +141,22 @@ class Component:
             return
         finally:
             worker.close_pool()
-            try:
-                self._enter(thread, coroutine)
-                self.kernel.close(thread, fd)
-            except Exception:  # noqa: BLE001 - already torn down
-                pass
+            self._enter(thread, coroutine)
+            self.close_errors += (worker.close_errors
+                                  + close_quietly(self.kernel, thread, fd))
 
     # -- to override ----------------------------------------------------
 
-    def message_complete(self, buffer: bytes) -> bool:
-        """Whether *buffer* holds one full request (override per protocol)."""
-        return True
-
-    def split_message(self, buffer: bytes) -> tuple[bytes, bytes]:
-        """Split one complete request off the front of *buffer*.
+    def frame_length(self, buffer: bytes) -> Optional[int]:
+        """Byte length of the first complete request in *buffer*, or
+        None while more must be read (override per protocol).
 
         Pipelined clients may coalesce several requests into one read;
-        the default keeps everything (single-message protocols), while
-        HTTP splits at the message boundary so the remainder is served
-        next iteration.
+        the default takes whatever has arrived as one request
+        (single-message protocols), while HTTP frames at the message
+        boundary so the remainder is served next iteration.
         """
-        return buffer, b""
+        return len(buffer) or None
 
     def handle_payload(self, worker: "WorkerContext",
                        data: bytes) -> Generator:
@@ -177,6 +177,8 @@ class WorkerContext:
         self.coroutine = coroutine
         self.current_app_span = None  # set by intrusive tracers only
         self._pool: dict[tuple[str, int], int] = {}
+        #: Pooled-connection closes the kernel refused.
+        self.close_errors = 0
 
     def _enter(self) -> None:
         if self.coroutine is not None:
@@ -206,10 +208,8 @@ class WorkerContext:
         key = (ip, port)
         fd = self._pool.pop(key, None)
         if fd is not None:
-            try:
-                self.kernel.close(self.thread, fd)
-            except Exception:  # noqa: BLE001
-                pass
+            self.close_errors += close_quietly(self.kernel, self.thread,
+                                               fd)
 
     def call_raw(self, ip: str, port: int, payload: bytes,
                  complete: Callable[[bytes], bool] = lambda _b: True,
@@ -254,12 +254,26 @@ class WorkerContext:
     def close_pool(self) -> None:
         """Close every pooled connection."""
         for fd in self._pool.values():
-            try:
-                self._enter()
-                self.kernel.close(self.thread, fd)
-            except Exception:  # noqa: BLE001
-                pass
+            self._enter()
+            self.close_errors += close_quietly(self.kernel, self.thread,
+                                               fd)
         self._pool.clear()
+
+
+def close_quietly(kernel: Kernel, thread: Thread, fd: int) -> int:
+    """Close *fd* on a teardown path, where it may already be gone.
+
+    The one error ``Kernel.close`` raises there is :class:`KernelError`
+    (bad or already-closed fd): that is swallowed and reported as 1, for
+    the owner to add to its ``close_errors`` count, so "already torn
+    down" stays visible.  Returns 0 on a clean close; anything else
+    propagates.
+    """
+    try:
+        kernel.close(thread, fd)
+    except KernelError:
+        return 1
+    return 0
 
 
 def http_message_complete(buffer: bytes) -> bool:
@@ -340,16 +354,7 @@ class HttpService(Component):
                 return handler
         return None
 
-    def message_complete(self, buffer: bytes) -> bool:
-        """Whether *buffer* holds one full request."""
-        return http_message_complete(buffer)
-
-    def split_message(self, buffer: bytes) -> tuple[bytes, bytes]:
-        """Split one HTTP message off the front (pipelining support)."""
-        length = http_message_length(buffer)
-        if length is None:
-            return buffer, b""
-        return buffer[:length], buffer[length:]
+    frame_length = staticmethod(http_message_length)
 
     def handle_payload(self, worker: WorkerContext,
                        data: bytes) -> Generator:

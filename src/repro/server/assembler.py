@@ -60,10 +60,17 @@ class TraceAssembler:
     def assemble(self, start_span_id: int) -> Trace:
         """The trace containing *start_span_id*: read its component out
         of the store's union-find, set parents, sort."""
-        return Trace._from_ordered(assign_parents(
-            self.store.component_spans(start_span_id),
-            enable_queue_relay=self.enable_queue_relay,
-            enable_x_request_id=self.enable_x_request_id))
+        return build_trace(self.store.component_spans(start_span_id),
+                           enable_queue_relay=self.enable_queue_relay,
+                           enable_x_request_id=self.enable_x_request_id)
+
+
+def build_trace(spans: list[Span], **rule_switches: bool) -> Trace:
+    """Component → :class:`Trace`, for every collection path (pull, push,
+    iterative reference): apply the parent rules — *rule_switches* are
+    :func:`assign_parents`' ablation switches — and adopt the canonical
+    order they return, so no path sorts a trace twice."""
+    return Trace._from_ordered(assign_parents(spans, **rule_switches))
 
 
 def assign_parents(spans: list[Span], *, enable_queue_relay: bool = True,

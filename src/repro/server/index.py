@@ -18,7 +18,7 @@ read-out — no iteration, no per-query filter construction.
 Spans that never share a key with anyone are kept implicit: they get no
 forest entry at all, and ``component`` answers ``{span_id}`` for them
 directly.  This keeps the ingest hot path from paying forest setup for
-singleton spans, and lets :meth:`link` batches coalesce.
+singleton spans.
 
 The iterative search survives as the property-tested reference
 implementation (:func:`repro.server.reference.collect_iterative`); the
@@ -28,7 +28,7 @@ ratio story stays visible.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 #: Protocols whose (resource, message id) pairs identify a message across
 #: a broker relay — the queue-tracing extension's association axis.
@@ -38,12 +38,11 @@ QUEUE_RELAY_PROTOCOLS = ("amqp", "kafka", "mqtt")
 def association_keys(span) -> list[tuple]:
     """The tagged association keys one span contributes to Algorithm 1.
 
-    This is the reference definition of the association axes, shared by
+    This is the reference definition of the association axes, used by
     :func:`repro.server.reference.collect_iterative` (the iterative
-    path) and :meth:`TraceGraphIndex.add_span`; the span
-    store's fused ingest loop inlines the same checks per axis and the
-    fast-vs-reference property test holds the two in lock step.  Tags
-    keep the per-axis key spaces disjoint:
+    path); the span store's fused ingest loop inlines the same checks
+    per axis and the fast-vs-reference property test holds the two in
+    lock step.  Tags keep the per-axis key spaces disjoint:
 
     ``("sys", id)`` systrace · ``("pt", key)`` pseudo-thread ·
     ``("xr", id)`` X-Request-ID · ``("fs", (flow, leg, seq))`` per-flow
@@ -82,13 +81,9 @@ class TraceGraphIndex:
     set.  Member sets are merged smaller-into-larger, bounding total
     membership moves at O(n log n) over any insert sequence.
 
-    Two usage modes:
-
-    * the span store resolves key→owner through its own secondary
-      indexes and calls :meth:`link` / :meth:`link_batch` directly;
-    * standalone callers use :meth:`add_span` / :meth:`add`, which keep
-      an internal key→owner table.  Don't mix the modes on one instance
-      — the internal table doesn't see store-resolved links.
+    The forest knows nothing about keys: its callers (the span store's
+    key commit, the sharded store's boundary merge) resolve key → owner
+    through their own tables and hand over ``(span, carrier)`` pairs.
     """
 
     def __init__(self) -> None:
@@ -97,10 +92,6 @@ class TraceGraphIndex:
         self._parent: dict[int, int] = {}
         #: root span id → the ids of every span in its component.
         self._members: dict[int, set[int]] = {}
-        #: association key → one span id known to carry it (standalone
-        #: mode only).
-        self._key_owner: dict[tuple, int] = {}
-        self.merges = 0
         #: Optional component-changed event sink.  When armed (set to a
         #: list — the continuous pipeline does this through
         #: ``SpanStore.arm_component_events``), every link applied by
@@ -115,26 +106,7 @@ class TraceGraphIndex:
 
     # -- growth -----------------------------------------------------------
 
-    def add_span(self, span) -> None:
-        """Index one span standalone (computes its keys)."""
-        self.add(span.span_id, association_keys(span))
-
-    def add(self, span_id: int, keys: Iterable[tuple]) -> None:
-        """Index *span_id* under pre-computed tagged *keys*, resolving
-        key ownership through the internal table (standalone mode)."""
-        key_owner = self._key_owner
-        for key in keys:
-            owner = key_owner.get(key)
-            if owner is None:
-                key_owner[key] = span_id
-            else:
-                self.link(span_id, owner)
-
-    def link(self, a: int, b: int) -> None:
-        """Record that spans *a* and *b* share an association key."""
-        self.link_batch(((a, b),))
-
-    def link_batch(self, links: Iterable[tuple[int, int]]) -> None:
+    def link_batch(self, links: list[tuple[int, int]]) -> None:
         """Apply a batch of shared-key links in one tight pass.
 
         The batched ingest path: the store accumulates one (new span,
@@ -144,11 +116,9 @@ class TraceGraphIndex:
         """
         events = self.events
         if events is not None:
-            links = list(links)
             events.extend(links)
         parent = self._parent
         members = self._members
-        merges = 0
         for a, b in links:
             root_b = parent.get(b)
             if root_b is None:
@@ -166,7 +136,6 @@ class TraceGraphIndex:
                 # building a singleton set only to merge it away.
                 parent[a] = root_b
                 members[root_b].add(a)
-                merges += 1
                 continue
             while parent[root_a] != root_a:
                 parent[root_a] = parent[parent[root_a]]
@@ -181,8 +150,6 @@ class TraceGraphIndex:
             parent[root_b] = root_a
             members_a.update(members_b)
             del members[root_b]
-            merges += 1
-        self.merges += merges
 
     # -- queries ----------------------------------------------------------
 

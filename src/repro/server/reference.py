@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.core.span import Span, Trace
-from repro.server.assembler import assign_parents
+from repro.server.assembler import build_trace
 from repro.server.index import association_keys
 
 __all__ = ["DEFAULT_ITERATIONS", "IterativeSearch", "assemble_iterative",
@@ -77,8 +77,8 @@ def collect_iterative(store, start_span_id: int,
 def assemble_iterative(store, start_span_id: int,
                        iterations: int = DEFAULT_ITERATIONS,
                        **rule_switches: bool) -> Trace:
-    """Full Algorithm 1: iterative search, parent rules, sort.
-    *rule_switches* are :func:`repro.server.assembler.assign_parents`'
-    ablation switches."""
+    """Full Algorithm 1: iterative search, then the shared
+    :func:`repro.server.assembler.build_trace` (*rule_switches* are its
+    ablation switches)."""
     found = collect_iterative(store, start_span_id, iterations)
-    return Trace._from_ordered(assign_parents(found.spans, **rule_switches))
+    return build_trace(found.spans, **rule_switches)

@@ -38,34 +38,36 @@ Because routing uses one key and windowing splits even that key across
 time, spans sharing *any* association key can land on different shards.
 Each shard's key commit logs the keys it sees for the **first time**
 (one event per distinct key per shard, piggy-backed on the posting
-creation it already performs); the router buckets those events by a
-stable hash of the key into *boundary partitions* (the model of a
-hash-partitioned association-key service), and each partition's table
-maps key → first owning (shard, span).  A key observed from a second
-shard contributes one link to a small cross-shard union-find over span
-ids.  A trace query then runs scatter-gather: fetch the start span's
-per-shard component, follow each boundary-forest component it touches
-(once) to components on other shards, and repeat to the fixed point.
-The merged component provably equals what a single unsharded store
-returns (the boundary links restore exactly the cross-shard shared-key
-edges; the property tests in tests/test_trace_index_properties.py hold
-the two in lock step for shard counts up to 8).
+creation it already performs).  :meth:`ShardedSpanStore.merge_boundaries`
+walks those logs in shard order through **one owner table**, key →
+first observing (shard, span): a key met again from a second shard
+contributes one link to a small cross-shard union-find over span ids.
+Each log is in commit order, the walk is in shard order and the table
+is probed by equality, so the links and their order are a function of
+the insert sequence alone — the same in every process, with no stable
+hash of a key involved.  A trace query then runs scatter-gather: fetch
+the start span's per-shard component, follow each boundary-forest
+component it touches (once) to components on other shards, and repeat
+to the fixed point.  The merged component provably equals what a single
+unsharded store returns (the boundary links restore exactly the
+cross-shard shared-key edges; the property tests in
+tests/test_trace_index_properties.py hold the two in lock step for
+shard counts up to 8).
 
-The seal/merge phases are exposed separately (:meth:`seal_shard`,
-:meth:`probe_partition`, :meth:`apply_boundary_links`) so each can be
-tested and traced on its own; callers that don't care use :meth:`flush`
-or just query (queries trigger the commits they need, same as the
-unsharded store).
+The two phases are separate methods — :meth:`seal_shard` commits one
+shard, :meth:`merge_boundaries` consumes what the commits logged — so
+each can be tested and timed on its own; callers that don't care use
+:meth:`flush` or just query (queries trigger the commits they need,
+same as the unsharded store).
 """
 
 from __future__ import annotations
 
-import marshal
 import zlib
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
-from repro.core.metrics import Counter, PipelineMetrics
+from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span
 from repro.server.database import SpanStore
 from repro.server.index import TraceGraphIndex
@@ -92,19 +94,6 @@ def _slow_route_hash(value: object) -> int:
     return zlib.crc32(repr(value).encode("utf-8", "surrogatepass"))
 
 
-def _partition_hash(tag: str, value: object) -> int:
-    """Stable partition index source for one tagged boundary key: crc32
-    over the key's marshalled int/str members — no ``repr()`` round
-    trip, no memo, and no builtin ``hash()``, whose string salt differs
-    per process.  Marshal format 2 is pinned because it writes a value's
-    content only; formats 3+ also encode whether a str is interned and
-    whether a member object is shared, so equal keys would differ."""
-    try:
-        return zlib.crc32(marshal.dumps((tag, value), 2))
-    except ValueError:  # a member marshal cannot write (str subclass…)
-        return zlib.crc32(tag.encode("ascii")) ^ _slow_route_hash(value)
-
-
 class ShardedSpanStore:
     """N-way sharded span store presenting the ``SpanStore`` query API.
 
@@ -124,8 +113,6 @@ class ShardedSpanStore:
             raise ValueError("window must be positive")
         self.shard_count = shard_count
         self.window = window
-        #: Boundary partitions: one per shard.
-        self.partition_count = shard_count
         self.shards: list[SpanStore] = []
         for _ in range(shard_count):
             shard = SpanStore()
@@ -135,28 +122,18 @@ class ShardedSpanStore:
         #: Cross-shard union-find over span ids; only spans whose key was
         #: observed on a second shard ever enter it.
         self.boundary = TraceGraphIndex()
-        #: Per-partition boundary-key table: tagged key → packed
+        #: The boundary owner table: tagged key → packed
         #: ``(span_id << 6) | shard_index`` of the first observer.
-        self._owners: list[dict[tuple, int]] = [
-            {} for _ in range(self.partition_count)]
-        #: Per-partition buckets of (tag, value, span_id, shard) events
-        #: sealed but not yet probed.
-        self._buckets: list[list[tuple]] = [
-            [] for _ in range(self.partition_count)]
-        #: Cross-shard links applied so far (observability: how much of
-        #: the keyspace actually straddles shards).
-        self.boundary_links = 0
-        # Shard-routing self-metrics; standalone counters when no
-        # registry is shared, so the ingest path has no None-check.
-        if metrics is not None:
-            self._m_routed = metrics.counter(
-                "router.spans_routed", "spans hashed to a shard")
-            self._m_boundary = metrics.counter(
-                "router.boundary_links",
-                "cross-shard links merged into the boundary forest")
-        else:
-            self._m_routed = Counter("router.spans_routed")
-            self._m_boundary = Counter("router.boundary_links")
+        self._owners: dict[tuple, int] = {}
+        if metrics is None:
+            metrics = PipelineMetrics()
+        self._m_routed = metrics.counter(
+            "router.spans_routed", "spans hashed to a shard")
+        #: Cross-shard links applied so far: how much of the keyspace
+        #: actually straddles shards.
+        self._m_boundary = metrics.counter(
+            "router.boundary_links",
+            "cross-shard links merged into the boundary forest")
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
@@ -196,18 +173,12 @@ class ShardedSpanStore:
         h ^= h >> 16
         return h % self.shard_count
 
-    @staticmethod
-    def _tenant_salt(tenant: Optional[str]) -> int:
-        """Routing salt for a tenant label (0 for the default tenant)."""
-        if not tenant:
-            return 0
-        return zlib.crc32(tenant.encode("utf-8"))
-
     def route_batches(self, spans: Iterable[Span],
                       tenant: Optional[str] = None) -> list[list[Span]]:
-        """Partition *spans* into per-shard insert batches (pure)."""
+        """Partition *spans* into per-shard insert batches (pure); a
+        tenant label salts the routes (0 for the default tenant)."""
         batches: list[list[Span]] = [[] for _ in range(self.shard_count)]
-        salt = self._tenant_salt(tenant)
+        salt = zlib.crc32(tenant.encode("utf-8")) if tenant else 0
         route = self._route
         for span in spans:
             batches[route(span, salt)].append(span)
@@ -235,23 +206,14 @@ class ShardedSpanStore:
         two *different* spans reusing one id may land on two shards
         undetected — span ids are allocator-unique by construction.
         """
-        salt = self._tenant_salt(tenant)
-        shards = self.shards
-        route = self._route
-        if tenant:
-            routed = 0
-            for span in spans:
-                span.tags.setdefault("tenant", tenant)
-                shards[route(span, salt)].insert(span)
-                routed += 1
-            self._m_routed.inc(routed)
-            return
-        # Batch per shard so each shard's insert_many runs one tight
-        # loop (duplicate check + append) over its share.
-        batches = self.route_batches(spans)
         routed = 0
-        for shard, batch in zip(shards, batches):
+        for shard, batch in zip(self.shards,
+                                self.route_batches(spans, tenant)):
             if batch:
+                if tenant:
+                    for span in batch:
+                        span.tags.setdefault("tenant", tenant)
+                # One tight loop (duplicate check + append) per shard.
                 shard.insert_many(batch)
                 routed += len(batch)
         self._m_routed.inc(routed)
@@ -259,73 +221,43 @@ class ShardedSpanStore:
     # -- commit / seal phases ---------------------------------------------
 
     def seal_shard(self, shard_index: int) -> int:
-        """Commit one shard's deferred indexes and bucket its first-seen
-        keys by boundary partition.  Returns the number of key events
-        sealed.  Per-shard work: in the modeled deployment every shard
-        server runs this phase in parallel."""
-        self.shards[shard_index].flush()
-        return self._bucket_first_seen(shard_index)
-
-    def _bucket_first_seen(self, shard_index: int) -> int:
-        """Drain one shard's first-seen-key log into the boundary
-        partition buckets; returns the number of key events moved."""
+        """Commit one shard's deferred indexes; the keys it saw for the
+        first time stay queued on its ``first_seen_keys`` log until
+        :meth:`merge_boundaries`.  Returns how many are queued."""
         shard = self.shards[shard_index]
-        log = shard.first_seen_keys
-        if not log:
-            return 0
-        shard.first_seen_keys = []
-        buckets = self._buckets
-        count = self.partition_count
-        for tag, value, span_id in log:
-            buckets[_partition_hash(tag, value) % count].append(
-                (tag, value, span_id, shard_index))
-        return len(log)
-
-    def probe_partition(self, partition: int) -> list[tuple[int, int]]:
-        """Probe one boundary partition's owner table with its sealed key
-        events; returns the cross-shard links discovered.  Per-partition
-        work: partitions model independent slices of a hash-partitioned
-        association-key service and run in parallel in the deployment
-        this reproduces."""
-        bucket = self._buckets[partition]
-        if not bucket:
-            return []
-        self._buckets[partition] = []
-        owners = self._owners[partition]
-        links: list[tuple[int, int]] = []
-        links_append = links.append
-        for tag, value, span_id, shard_index in bucket:
-            key = (tag, value)
-            packed = owners.get(key)
-            if packed is None:
-                owners[key] = (span_id << 6) | shard_index
-            elif (packed & 63) != shard_index:
-                # Key straddles shards: link this shard's first carrier
-                # to the owning shard's representative.
-                links_append((span_id, packed >> 6))
-            # Same-shard re-observation cannot happen (the shard logs a
-            # key once), so any other case is already linked.
-        return links
-
-    def apply_boundary_links(self,
-                             links: Iterable[tuple[int, int]]) -> None:
-        """Merge discovered cross-shard links into the boundary forest."""
-        links = list(links)
-        if links:
-            self.boundary.link_batch(links)
-            self.boundary_links += len(links)
-            self._m_boundary.inc(len(links))
+        shard.flush()
+        return len(shard.first_seen_keys)
 
     def merge_boundaries(self) -> None:
-        """Run every partition probe and apply the discovered links."""
-        for partition in range(self.partition_count):
-            links = self.probe_partition(partition)
-            if links:
-                self.apply_boundary_links(links)
+        """Walk the queued first-seen logs, in shard order, through the
+        owner table and apply the cross-shard links they reveal as one
+        batch."""
+        owners = self._owners
+        links: list[tuple[int, int]] = []
+        links_append = links.append
+        for shard_index, shard in enumerate(self.shards):
+            log = shard.first_seen_keys
+            if not log:
+                continue
+            shard.first_seen_keys = []
+            for tag, value, span_id in log:
+                key = (tag, value)
+                packed = owners.get(key)
+                if packed is None:
+                    owners[key] = (span_id << 6) | shard_index
+                elif (packed & 63) != shard_index:
+                    # Key straddles shards: link this shard's first
+                    # carrier to the owning shard's representative.
+                    links_append((span_id, packed >> 6))
+                # Same-shard re-observation cannot happen (the shard
+                # logs a key once), so any other case is already linked.
+        if links:
+            self.boundary.link_batch(links)
+            self._m_boundary.inc(len(links))
 
     def flush(self) -> None:
-        """Force all deferred maintenance: shard commits, boundary seal,
-        partition probes, and the cross-shard merge."""
+        """Force all deferred maintenance: every shard's commits, then
+        the cross-shard merge."""
         for shard_index in range(self.shard_count):
             self.seal_shard(shard_index)
         self.merge_boundaries()
@@ -333,11 +265,13 @@ class ShardedSpanStore:
     def _ensure_traceable(self) -> None:
         """Bring key indexes and the boundary forest up to date (the
         lazy-commit step trace queries trigger)."""
-        for shard_index, shard in enumerate(self.shards):
-            if shard.first_seen_keys or shard.pending_key_count():
+        queued = False
+        for shard in self.shards:
+            if shard.pending_key_count():
                 shard.commit_keys()
-                self._bucket_first_seen(shard_index)
-        if any(self._buckets):
+            if shard.first_seen_keys:
+                queued = True
+        if queued:
             self.merge_boundaries()
 
     # -- component-changed events (continuous pipeline) ---------------------
@@ -482,12 +416,11 @@ class ShardedSpanStore:
         total = sum(sizes)
         return {
             "shards": self.shard_count,
-            "partitions": self.partition_count,
             "spans": total,
             "shard_sizes": sizes,
             "imbalance": (max(sizes) * self.shard_count / total
                           if total else 1.0),
-            "boundary_keys": sum(len(t) for t in self._owners),
-            "boundary_links": self.boundary_links,
+            "boundary_keys": len(self._owners),
+            "boundary_links": self._m_boundary.value,
             "boundary_spans": len(self.boundary),
         }

@@ -20,7 +20,7 @@ Live traces walk a sim-clock lifecycle::
       │                                    │
       ├──(root complete, idle ≥ root_grace)┴──(idle ≥ finish_after)
       ▼
-    FINISHED  →  assign_parents → Trace → OTLP export
+    FINISHED  →  build_trace → OTLP export
 
 "Root complete" is the paper-shaped completion heuristic: the earliest
 span of a component is its root candidate, and once its interval
@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span, Trace
-from repro.server.assembler import assign_parents
+from repro.server.assembler import build_trace
 
 __all__ = [
     "ContinuousAssembler",
@@ -327,7 +327,7 @@ class ContinuousAssembler:
         exporter = self.exporter
         out: list[FinishedTrace] = []
         for live in pending:
-            trace = Trace._from_ordered(assign_parents(live.spans))
+            trace = build_trace(live.spans)
             record = FinishedTrace(
                 trace=trace, key=live.key, opened_at=live.opened_at,
                 finished_at=live.finished_at, reason=live.finish_reason,

@@ -5,7 +5,8 @@ import pytest
 from repro.apps import bookinfo, springboot
 from repro.apps.loadgen import LoadGenerator
 from repro.apps.proxy import NginxProxy
-from repro.apps.runtime import HttpService, Response
+from repro.apps.runtime import (HttpService, Response, WorkerContext,
+                                close_quietly)
 from repro.apps.services import DnsService, MysqlService, RedisService
 from repro.core.span import SpanSide
 from repro.network.topology import ClusterBuilder
@@ -216,6 +217,7 @@ class TestLoadGenerator:
         report = sim.run_process(generator.run())
         assert report.sent == 50
         assert report.throughput == pytest.approx(50, rel=0.1)
+        assert report.close_errors == 0  # every fd closed exactly once
 
     def test_coordinated_omission_correction(self):
         """A stalling server inflates recorded latency, not just spacing."""
@@ -239,6 +241,28 @@ class TestLoadGenerator:
         with pytest.raises(ValueError):
             LoadGenerator(lg_pod.node, svc_pod.ip, 9000, rate=0,
                           duration=1.0)
+
+
+class TestCloseQuietly:
+    def test_only_kernel_errors_are_swallowed_and_they_are_counted(self):
+        sim, builder = simple_world()
+        pod = builder.add_pod(0, "svc")
+        Network(sim, builder.build())
+        service = HttpService("svc", pod.node, 9000, pod=pod)
+        service.start()
+        thread = service.kernel.create_thread(service.process)
+        assert close_quietly(service.kernel, thread, 99) == 1  # bad fd
+        worker = WorkerContext(service, thread, None)
+        worker._pool[("10.9.9.9", 80)] = 98  # a pooled fd already gone
+        worker.close_pool()
+        assert worker.close_errors == 1
+
+        class BrokenKernel:
+            def close(self, thread, fd):
+                raise RuntimeError("a bug, not a torn-down fd")
+
+        with pytest.raises(RuntimeError):
+            close_quietly(BrokenKernel(), thread, 3)
 
 
 class TestSpringBootDemo:

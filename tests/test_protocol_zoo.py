@@ -86,12 +86,12 @@ class TestKafkaEndToEnd:
             reply = yield from zoo.worker.call_raw(
                 zoo.svc_pod.ip, 9092,
                 kafka.encode_request(kafka.API_PRODUCE, 7, "orders"),
-                complete=broker.message_complete)
+                complete=broker.frame_length)
             assert kafka.KafkaSpec().parse(reply).status == "ok"
             reply = yield from zoo.worker.call_raw(
                 zoo.svc_pod.ip, 9092,
                 kafka.encode_request(kafka.API_FETCH, 8, "orders"),
-                complete=broker.message_complete)
+                complete=broker.frame_length)
             return kafka.KafkaSpec().parse(reply)
 
         result = zoo.sim.run_process(zoo.sim.spawn(client()))
@@ -111,7 +111,7 @@ class TestKafkaEndToEnd:
             reply = yield from zoo.worker.call_raw(
                 zoo.svc_pod.ip, 9092,
                 kafka.encode_request(kafka.API_FETCH, 9, "missing"),
-                complete=broker.message_complete)
+                complete=broker.frame_length)
             return kafka.KafkaSpec().parse(reply)
 
         result = zoo.sim.run_process(zoo.sim.spawn(client()))
@@ -177,7 +177,7 @@ class TestDubboEndToEnd:
                 zoo.svc_pod.ip, 20880,
                 dubbo.encode_request(501, "com.shop.OrderService",
                                      "createOrder"),
-                complete=provider.message_complete)
+                complete=provider.frame_length)
             return dubbo.DubboSpec().parse(reply)
 
         result = zoo.sim.run_process(zoo.sim.spawn(client()))
@@ -200,7 +200,7 @@ class TestDubboEndToEnd:
             reply = yield from zoo.worker.call_raw(
                 zoo.svc_pod.ip, 20880,
                 dubbo.encode_request(502, "svc", "nope"),
-                complete=provider.message_complete)
+                complete=provider.frame_length)
             return dubbo.DubboSpec().parse(reply)
 
         result = zoo.sim.run_process(zoo.sim.spawn(client()))

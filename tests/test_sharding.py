@@ -2,8 +2,8 @@
 
 The equivalence of scatter-gather ``trace()`` with a single unsharded
 store is property-tested in test_trace_index_properties.py; this file
-pins the mechanics — deterministic routing, the seal/probe/merge phase
-APIs, tenant label threading, and the observability counters.
+pins the mechanics — deterministic routing, the seal/merge phase APIs,
+tenant label threading, and the observability counters.
 """
 
 import os
@@ -18,8 +18,7 @@ from repro.core.span import Span, SpanKind, SpanSide
 from repro.server.database import SpanStore
 from repro.server.index import association_keys
 from repro.server.server import DeepFlowServer
-from repro.server.sharding import (MAX_SHARDS, ShardedSpanStore,
-                                   _partition_hash)
+from repro.server.sharding import MAX_SHARDS, ShardedSpanStore
 
 
 def make_span(span_id, *, systrace=None, xreq=None, start=1.0, **extra):
@@ -75,9 +74,10 @@ class TestRouting:
     def test_tenant_salt_changes_spread(self):
         store = ShardedSpanStore(8)
         spans = [make_span(i, systrace=i) for i in range(200)]
-        default = [store._route(s, 0) for s in spans]
-        salted = [store._route(s, store._tenant_salt("acme")) for s in spans]
+        default = store.route_batches(spans)
+        salted = store.route_batches(spans, tenant="acme")
         assert default != salted
+        assert sorted(map(len, salted)) != [0] * 7 + [200]  # still spread
 
     def test_shard_count_bounds(self):
         with pytest.raises(ValueError):
@@ -115,17 +115,39 @@ class TestIngest:
         assert len(store) == 60
 
 
-#: One tagged key per association axis, in the shapes the agents emit.
-_TAGGED_KEYS = [
-    ("sys", 5497558140662),
-    ("pt", ("node-5", "t", 100, 1005, 75)),
-    ("xr", "req-\u00e9-1"),
-    ("fs", ((("10.0.1.2", 40005), ("10.0.5.2", 9100), "tcp"), "p", 2813)),
-    ("fs", ((("10.0.1.2", 40005), ("10.0.5.2", 9100), "tcp"), "q", 2813)),
-    ("ot", "4bf92f3577b34da6a3ce929d0e0e4736"),
-    ("mq", ("amqp", "orders", 17)),
-    ("mq", ("amqp", None, 1.5)),
-]
+def run_hashseed_corpus():
+    """A fixed corpus through ``ShardedSpanStore(4, window=0.5)`` batch
+    by batch: int, str and tuple association keys on every axis, each
+    key carried in four routing windows so it straddles shards, plus
+    spans bridging two axes.  Returns every drained link event, in
+    order, and the final ``shard_stats()``."""
+    spans = []
+    for window in range(4):
+        for group in range(8):
+            flow = (("10.0.1.2", 40000 + group), ("10.0.5.2", 9100), "tcp")
+            axes = [
+                dict(systrace_id=5497558140662 + group),
+                dict(pseudo_thread_key=("node-5", "t", 100, 1005, group)),
+                dict(x_request_id=f"req-\u00e9-{group}"),
+                dict(flow_key=flow, req_tcp_seq=2813, resp_tcp_seq=977),
+                dict(otel_trace_id=f"4bf92f3577b34da6a3ce929d0e0e47{group:02}"),
+                dict(protocol="amqp", resource="orders", message_id=group),
+                # Bridges: one span on two axes joins their components.
+                dict(systrace_id=5497558140662 + group,
+                     x_request_id=f"req-\u00e9-{group}"),
+            ]
+            start = 0.1 + 0.6 * window
+            for keys in axes:
+                spans.append(Span(span_id=len(spans), kind=SpanKind.SYSCALL,
+                                  side=SpanSide.CLIENT, start_time=start,
+                                  end_time=start + 0.01, **keys))
+    store = ShardedSpanStore(4, window=0.5)
+    store.arm_component_events()
+    events = []
+    for cut in range(0, len(spans), 16):
+        store.insert_many(spans[cut:cut + 16])
+        events += store.take_component_events()
+    return events, store.shard_stats()
 
 
 class TestComponentReadOut:
@@ -248,69 +270,6 @@ class TestSpanListMerge:
         assert server.slowest_span() is listed[0]
 
 
-class TestPartitionHash:
-    def test_independent_of_pythonhashseed(self):
-        script = ("from tests.test_sharding import _TAGGED_KEYS\n"
-                  "from repro.server.sharding import _partition_hash\n"
-                  "print([_partition_hash(t, v) for t, v in _TAGGED_KEYS])")
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        outputs = []
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.pathsep.join(
-                           [os.path.join(root, "src"), root]))
-            done = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True,
-                                  timeout=60, check=True)
-            outputs.append(done.stdout)
-        assert outputs[0] == outputs[1]
-        here = [_partition_hash(tag, value) for tag, value in _TAGGED_KEYS]
-        assert outputs[0].strip() == repr(here)
-
-    def test_every_member_of_a_key_counts(self):
-        hashes = {_partition_hash(tag, value)
-                  for tag, value in _TAGGED_KEYS}
-        assert len(hashes) == len(_TAGGED_KEYS)
-        assert _partition_hash("pt", ("a", 1)) \
-            != _partition_hash("pt", (1, "a"))
-        assert _partition_hash("pt", ("a", 1)) \
-            != _partition_hash("fs", ("a", 1))
-
-    def test_equal_keys_built_separately_hash_alike(self):
-        # Neither str interning nor sharing one member object between
-        # two slots may show in the hash (marshal formats 3+ write
-        # both): a flow key rebuilt from fresh strings must land where
-        # the first one did.
-        end = ("10.0.1.2", 40005)
-        flow = (end, end, "tcp")
-        twin = ((".".join(["10", "0", "1", "2"]), 40005),
-                (".".join(["10", "0", "1", "2"]), 40005),
-                "".join(["t", "cp"]))
-        assert twin == flow and twin[0] is not twin[1]
-        assert twin[0][0] is not flow[0][0]
-        assert _partition_hash("fs", (flow, "q", 7)) \
-            == _partition_hash("fs", (twin, "q", 7))
-
-    def test_equal_but_differently_typed_members_do_not_interfere(self):
-        # 1 == 1.0 == True: whichever is hashed first must not decide
-        # what the others get (there is no equality-keyed memo).
-        keys = [("mq", ("q", 1)), ("mq", ("q", 1.0)), ("mq", ("q", True))]
-        forward = [_partition_hash(tag, value) for tag, value in keys]
-        backward = [_partition_hash(tag, value)
-                    for tag, value in reversed(keys)]
-        assert forward == backward[::-1]
-        assert forward == [_partition_hash(tag, value)
-                           for tag, value in keys]
-
-    def test_unmarshallable_member_falls_back_to_repr(self):
-        class Label(str):
-            pass
-        key = ("node-1", Label("t"), 3)
-        assert _partition_hash("pt", key) == _partition_hash("pt", key)
-        assert _partition_hash("pt", key) \
-            != _partition_hash("pt", ("node-1", Label("u"), 3))
-
-
 class TestBoundaryPhases:
     def build(self):
         # Two spans per systrace id, windows forced apart so each pair
@@ -326,17 +285,43 @@ class TestBoundaryPhases:
         return store, spans
 
     def test_seal_then_probe_then_merge(self):
+        """Sealing commits the shards and queues their first-seen keys;
+        only the merge probes the owner table and links."""
         store, spans = self.build()
         sealed = sum(store.seal_shard(i) for i in range(store.shard_count))
-        assert sealed > 0  # every distinct (key, shard) logged once
-        links = []
-        for partition in range(store.partition_count):
-            links.extend(store.probe_partition(partition))
-        assert links  # straddling keys were found
-        store.apply_boundary_links(links)
+        assert sealed > 30  # every distinct (key, shard) logged once
+        assert not any(shard.pending_key_count() for shard in store.shards)
+        assert store.shard_stats()["boundary_links"] == 0
+        store.merge_boundaries()
+        # One link per key seen from a second shard; the logs are taken.
+        assert store.shard_stats()["boundary_links"] == sealed - 30
+        assert [store.seal_shard(i) for i in range(store.shard_count)] \
+            == [0] * store.shard_count
         for trace_id in range(30):
             assert store.component_ids(2 * trace_id) == {
                 2 * trace_id, 2 * trace_id + 1}
+        # The query found nothing left to merge.
+        assert store.shard_stats()["boundary_links"] == sealed - 30
+
+    def test_link_order_independent_of_pythonhashseed(self):
+        """The boundary layer finds the same links in the same order in
+        every process, however that process salts str hashes."""
+        script = ("from tests.test_sharding import run_hashseed_corpus\n"
+                  "print(run_hashseed_corpus())")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [os.path.join(root, "src"), root]))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=60, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        events, stats = run_hashseed_corpus()
+        assert outputs[0].strip() == repr((events, stats))
+        assert stats["boundary_links"] > 50  # the corpus does straddle
 
     def test_flush_is_equivalent_and_idempotent(self):
         store, spans = self.build()
@@ -352,7 +337,7 @@ class TestBoundaryPhases:
         store, spans = self.build()
         # No explicit flush/seal: component_ids must do it all.
         assert store.component_ids(0) == {0, 1}
-        assert store.boundary_links > 0
+        assert store.shard_stats()["boundary_links"] > 0
 
     def test_carriers_commits_every_shard_before_answering(self):
         """The reference search's accessor must see spans nothing has
@@ -425,4 +410,5 @@ class TestSingleShardDegenerate:
         for span in spans:
             assert (sharded.component_ids(span.span_id)
                     == single.component_ids(span.span_id))
-        assert sharded.boundary_links == 0  # nothing can straddle
+        # Nothing can straddle.
+        assert sharded.shard_stats()["boundary_links"] == 0

@@ -176,26 +176,38 @@ def test_assemble_span_set_stable_under_ablations(spans, queue_relay,
        shards=st.integers(min_value=1, max_value=8),
        window=st.sampled_from([0.5, 2.0, 60.0]),
        cut=st.integers(min_value=0, max_value=100),
+       tenant=st.sampled_from([None, "acme"]),
+       sealed=st.lists(st.integers(min_value=0, max_value=7), unique=True),
        query_between=st.booleans())
-def test_sharded_components_match_unsharded(spans, shards, window,
-                                            cut, query_between):
+def test_sharded_components_match_unsharded(spans, shards, window, cut,
+                                            tenant, sealed, query_between):
     """Scatter-gather `trace()` over N shards == one unsharded store ==
     the BFS oracle, for every start span.
 
     The small key domains make cross-shard keys the common case, and a
     sub-second routing window splits even single-key traces across
-    shards — the boundary merge has to recover both.  Mid-stream queries
-    force per-shard commits and boundary probes to interleave with later
+    shards — the boundary merge has to recover both.  The first batch
+    goes in under a drawn tenant label (salted routes, stamped tags).
+    A partial seal then commits only a drawn subset of shards before a
+    merge, so a key can reach the owner table from one shard in this
+    round and from another a round later; mid-stream queries force
+    per-shard commits and boundary merges to interleave with later
     inserts.
     """
     single = SpanStore()
     single.insert_many(spans)
     sharded = ShardedSpanStore(shards, window=window)
     cut = cut % len(spans)
-    sharded.insert_many(spans[:cut])
+    sharded.insert_many(spans[:cut], tenant=tenant)
+    assert all(span.tags.get("tenant") == tenant for span in spans[:cut])
+    for shard_index in sealed:
+        if shard_index < shards:
+            sharded.seal_shard(shard_index)
+    if sealed:
+        sharded.merge_boundaries()
     if query_between and cut:
-        # Trigger the seal/probe/merge machinery mid-stream: later
-        # inserts must extend the boundary tables, not corrupt them.
+        # Trigger the seal/merge machinery mid-stream: later inserts
+        # must extend the owner table, not corrupt it.
         sharded.component_ids(spans[0].span_id)
         sharded.span_list(0.0, float("inf"))
     for span in spans[cut:]:

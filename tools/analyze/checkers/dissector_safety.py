@@ -18,16 +18,18 @@ Rules (all severity ``error``):
 * ``ds-loop-progress`` — a ``while`` loop with a body path back to the
   header along which no loop variable provably advances: a crafted
   payload pins the agent.
-* ``ds-broad-except`` — an ``except`` clause in ``repro.protocols``
-  catching ``Exception``/``BaseException`` (or bare): containment must
-  name the parse-error types (``ValueError``, ``IndexError``,
-  ``struct.error``, ``UnicodeDecodeError``) so programming errors
-  surface instead of reading as malformed payloads.
+* ``ds-broad-except`` — an ``except`` clause in ``repro.protocols`` or
+  ``repro.apps`` catching ``Exception``/``BaseException`` (or bare):
+  containment must name the parse-error types (``ValueError``,
+  ``IndexError``, ``struct.error``, ``UnicodeDecodeError``) so
+  programming errors surface instead of reading as malformed payloads,
+  and the app runtime's teardown paths must name what ``Kernel.close``
+  raises (``KernelError``) instead of hiding everything behind it.
 
 Scope: byte-access rules run over the call-graph closure of every
 ``ProtocolSpec`` subclass's ``parse``/``infer`` (the same registry the
 fuzz suite enumerates — see :func:`dissector_entry_points`); the
-broad-except rule covers the whole protocols package.  Guard proofs
+broad-except rule covers the whole protocols and apps packages.  Guard proofs
 come from the :mod:`tools.analyze.dataflow` guard domain: branch-edge
 facts, ``and``/``or`` short-circuit facts inside one expression, slice
 derivations, and unique-definition substitution (so ``offset = 10 +
@@ -67,6 +69,8 @@ COVERS = {
 }
 
 BROAD_TYPES = frozenset({"Exception", "BaseException"})
+#: Packages where no handler may catch :data:`BROAD_TYPES`.
+NARROW_EXCEPT_PACKAGES = (PROTOCOLS_PACKAGE, "apps")
 
 _INTERPROC_DEPTH = 4
 
@@ -526,7 +530,7 @@ class DissectorSafetyChecker(Checker):
 
     def _broad_excepts(self, project: Project) -> Iterator[Finding]:
         for module in project.modules.values():
-            if module.package != PROTOCOLS_PACKAGE:
+            if module.package not in NARROW_EXCEPT_PACKAGES:
                 continue
             path = module.rel_display(project.repo_root)
             for node in ast.walk(module.tree):
@@ -540,10 +544,12 @@ class DissectorSafetyChecker(Checker):
                     yield Finding(
                         path=path, line=node.lineno, checker=self.name,
                         rule="ds-broad-except",
-                        message=(f"{what} swallows non-parse errors — "
-                                 f"catch the parse-error types "
-                                 f"(ValueError/IndexError/struct.error/"
-                                 f"UnicodeDecodeError)"))
+                        message=(f"{what} swallows programming errors "
+                                 f"— name the types the handler can "
+                                 f"act on (parsers: ValueError/"
+                                 f"IndexError/struct.error/"
+                                 f"UnicodeDecodeError; apps: "
+                                 f"KernelError/ConnectionError)"))
 
 
 _RULE_OF = {"index": "read", "struct": "unpack", "decode": "decode"}

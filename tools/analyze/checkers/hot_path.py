@@ -64,9 +64,12 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     # local component and a range read one per shard, so a per-member
     # shard probe or a per-shard sort there is a query-rate regression.
     "SpanStore": ("insert", "insert_many", "span_list"),
+    # merge_boundaries / take_component_events are the push path's
+    # per-batch commit: one loop per queued first-seen key event.
     "ShardedSpanStore": ("insert", "insert_many", "route_batches",
+                         "merge_boundaries", "take_component_events",
                          "component_spans", "component_ids", "span_list"),
-    "TraceGraphIndex": ("add_span", "add", "link", "link_batch"),
+    "TraceGraphIndex": ("link_batch",),
     "DeepFlowAgent": ("poll", "_process_event", "_dispatch_slow",
                       "_process_coroutine_event", "_process_close_event",
                       "_process_uprobe_record", "_process_syscall_record",
