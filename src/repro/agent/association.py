@@ -126,7 +126,9 @@ class AssociationTracker:
           completed — client-side partitioning); otherwise inherited;
         * responses        → always inherited.
         """
-        state = self._states.setdefault(pthread_key, _PthreadState())
+        state = self._states.get(pthread_key)
+        if state is None:
+            state = self._states[pthread_key] = _PthreadState()
         return self._advance(state, msg_type, direction)
 
     def _advance(self, state: _PthreadState, msg_type: MessageType,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.agent.overload import DEGRADED_PROTOCOL
 from repro.kernel.syscalls import Direction, SyscallRecord
@@ -30,30 +30,32 @@ from repro.protocols.base import MessageType, ParsedMessage
 DEFAULT_SLOT_DURATION = 60.0
 
 
-@dataclass
 class Message:
-    """One parsed protocol message plus its kernel-side provenance."""
+    """One parsed protocol message plus its kernel-side provenance.
 
-    record: SyscallRecord
-    parsed: ParsedMessage
-    systrace_id: Optional[int] = None
-    pthread_key: Optional[tuple] = None
-    via_uprobe: bool = False
-    total_bytes: int = 0
-    last_exit_time: float = 0.0
+    Built once, complete, by the agent's per-message path: the event time
+    and the running byte / exit-time totals are fixed here from the first
+    syscall's record, and nothing is stamped on afterwards.
+    """
 
-    def __post_init__(self) -> None:
-        if self.total_bytes == 0:
-            self.total_bytes = self.record.byte_len
-        if self.last_exit_time == 0.0:
-            self.last_exit_time = self.record.exit_time
+    __slots__ = ("record", "parsed", "systrace_id", "pthread_key",
+                 "via_uprobe", "time", "total_bytes", "last_exit_time")
 
-    @property
-    def time(self) -> float:
-        """The message's event time (arrival for ingress, start for egress)."""
-        if self.record.direction is Direction.INGRESS:
-            return self.record.exit_time
-        return self.record.enter_time
+    def __init__(self, record: SyscallRecord, parsed: ParsedMessage,
+                 systrace_id: Optional[int] = None,
+                 pthread_key: Optional[tuple] = None,
+                 via_uprobe: bool = False) -> None:
+        self.record = record
+        self.parsed = parsed
+        self.systrace_id = systrace_id
+        self.pthread_key = pthread_key
+        self.via_uprobe = via_uprobe
+        exit_time = record.exit_time
+        #: Event time: arrival for ingress, start for egress.
+        self.time = (exit_time if record.direction is Direction.INGRESS
+                     else record.enter_time)
+        self.total_bytes = record.byte_len
+        self.last_exit_time = exit_time
 
     @property
     def end_time(self) -> float:
@@ -66,13 +68,8 @@ class Message:
         self.total_bytes += record.byte_len
         self.last_exit_time = max(self.last_exit_time, record.exit_time)
 
-    @property
-    def degraded(self) -> bool:
-        """Whether the message was built without payload (SHED_PAYLOAD)."""
-        return self.parsed.protocol == DEGRADED_PROTOCOL
 
-
-@dataclass
+@dataclass(slots=True)
 class Session:
     """A matched (or degenerate) request/response pair on one socket."""
 
@@ -85,12 +82,6 @@ class Session:
     def complete(self) -> bool:
         """Whether both request and response are present."""
         return self.request is not None and self.response is not None
-
-    @property
-    def degraded(self) -> bool:
-        """Whether either side was built without payload (overload)."""
-        return ((self.request is not None and self.request.degraded)
-                or (self.response is not None and self.response.degraded))
 
 
 class TimeWindowArray:
@@ -109,9 +100,14 @@ class TimeWindowArray:
         """Same slot or adjacent slot (§3.3.1)."""
         return abs(self.slot_of(later) - self.slot_of(earlier)) <= 1
 
+    def horizon(self, now: float) -> int:
+        """Oldest slot still inside the matching window at *now*; a
+        caller expiring many timestamps against one *now* asks once."""
+        return int(now // self.slot_duration) - 1
+
     def expired(self, timestamp: float, now: float) -> bool:
         """Whether *timestamp* fell out of the matching window."""
-        return self.slot_of(now) - self.slot_of(timestamp) > 1
+        return self.slot_of(timestamp) < self.horizon(now)
 
 
 class _SocketState:
@@ -156,7 +152,10 @@ class SessionAggregator:
         self.degraded = 0
 
     def _state(self, socket_id: int) -> _SocketState:
-        return self._sockets.setdefault(socket_id, _SocketState())
+        state = self._sockets.get(socket_id)
+        if state is None:
+            state = self._sockets[socket_id] = _SocketState()
+        return state
 
     def add(self, message: Message) -> list[Session]:
         """Feed one message; returns any sessions completed by it.
@@ -166,13 +165,16 @@ class SessionAggregator:
         """
         msg_type = message.parsed.msg_type
         if msg_type is MessageType.REQUEST:
-            return self._add_request(message)
+            return list(self._add_request(message))
         if msg_type is MessageType.RESPONSE:
-            return self._match_response(message)
+            return list(self._match_response(message))
         return []  # UNKNOWN (opaque) messages never form sessions
 
-    def _add_request(self, message: Message) -> list[Session]:
-        state = self._state(message.record.socket_id)
+    def _add_request(self, message: Message) -> Sequence[Session]:
+        """:meth:`add` for a message known to be a request; the common
+        no-session outcome is one shared empty tuple."""
+        socket_id = message.record.socket_id
+        state = self._state(socket_id)
         stream_id = message.parsed.stream_id
         if stream_id is not None:
             # Symmetric window matching: the response may already be
@@ -180,50 +182,50 @@ class SessionAggregator:
             response = state.orphan_responses.pop(stream_id, None)
             if response is not None and self.window.in_window(
                     message.time, response.time):
-                return [self._pair(message.record.socket_id, message,
-                                   response)]
+                return (self._pair(socket_id, message, response),)
             state.by_stream[stream_id] = message
         else:
             state.pipeline.append(message)
-        return []
+        return ()
 
-    def _match_response(self, message: Message) -> list[Session]:
+    def _match_response(self, message: Message) -> Sequence[Session]:
+        """:meth:`add` for a message known to be a response."""
         socket_id = message.record.socket_id
         state = self._state(socket_id)
-        sessions: list[Session] = []
         stream_id = message.parsed.stream_id
         if stream_id is not None:
             request = state.by_stream.pop(stream_id, None)
             if request is None:
                 # Hold it: the request may still arrive out of order.
                 state.orphan_responses[stream_id] = message
-                return []
-            sessions.append(self._pair(socket_id, request, message))
-            return sessions
+                return ()
+            return (self._pair(socket_id, request, message),)
         # Pipeline: expire requests that fell out of the time window, then
         # match the oldest remaining one.
-        while state.pipeline and self.window.expired(
-                state.pipeline[0].time, message.time):
-            stale = state.pipeline.popleft()
-            self.expired += 1
-            sessions.append(Session(socket_id, request=stale,
-                                    error="no-response"))
-        if not state.pipeline:
+        pipeline = state.pipeline
+        sessions: list[Session] = []
+        if pipeline:
+            window = self.window
+            horizon = window.horizon(message.time)
+            while pipeline and window.slot_of(pipeline[0].time) < horizon:
+                self.expired += 1
+                sessions.append(Session(socket_id, pipeline.popleft(), None,
+                                        "no-response"))
+        if not pipeline:
             self.orphans += 1
-            sessions.append(Session(socket_id, response=message,
-                                    error="orphan-response"))
+            sessions.append(Session(socket_id, None, message,
+                                    "orphan-response"))
             return sessions
-        request = state.pipeline.popleft()
-        sessions.append(self._pair(socket_id, request, message))
+        sessions.append(self._pair(socket_id, pipeline.popleft(), message))
         return sessions
 
     def _pair(self, socket_id: int, request: Message,
               response: Message) -> Session:
         self.matched += 1
-        session = Session(socket_id, request=request, response=response)
-        if session.degraded:
+        if (request.parsed.protocol == DEGRADED_PROTOCOL
+                or response.parsed.protocol == DEGRADED_PROTOCOL):
             self.degraded += 1
-        return session
+        return Session(socket_id, request, response)
 
     def open_request_count(self, socket_id: Optional[int] = None) -> int:
         """Open requests on one socket (or all)."""

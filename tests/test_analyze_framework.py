@@ -562,6 +562,81 @@ def test_hot_path_covers_the_front_half_per_event_bodies(tmp_path):
     assert {f.severity for f in report.findings} == {"warn"}
 
 
+def test_hot_path_flags_eager_defaults_and_keyword_builds_in_the_agent(
+        tmp_path):
+    """The agent's per-message closure: a default built on every call
+    (``setdefault(key, Ctor())`` / ``get(key, Ctor())``) is a finding
+    wherever it sits in a hot body, a constant default or the
+    get-test-build form is not, and a keyword-built ``Message`` / ``Span``
+    in the two per-event bodies is make-work."""
+    root = _seed_tree(tmp_path, {
+        "agent/sessions.py": '''
+            from collections import deque
+
+
+            class _SocketState:
+                pass
+
+
+            class SessionAggregator:
+                def _state(self, socket_id):
+                    return self._sockets.setdefault(socket_id,
+                                                    _SocketState())
+
+                def _add_request(self, message):
+                    state = self._state(message.socket_id)
+                    backlog = self._backlog.get(message.socket_id, deque())
+                    tags = self._tags.get(message.socket_id, ())
+                    return state, backlog, tags
+
+                def _match_response(self, message):
+                    state = self._sockets.get(message.socket_id)
+                    if state is None:
+                        state = self._sockets[message.socket_id] = \\
+                            _SocketState()
+                    return state
+
+                def flush_expired(self, now):
+                    return self._sockets.setdefault(0, _SocketState())
+            ''',
+        "agent/agent.py": '''
+            class Message:
+                pass
+
+
+            class Span:
+                pass
+
+
+            class DeepFlowAgent:
+                def _ingest_message(self, record, parsed):
+                    message = Message(record=record, parsed=parsed)
+                    for session in self.aggregator._add_request(message):
+                        self._build_span(session)
+
+                def _build_span(self, session):
+                    return Span(self.ids.next_id(), session.kind,
+                                tags={})
+
+                def hook_stats(self):
+                    return Span(span_id=0)
+            ''',
+    })
+    report = _analyze(root, ["hot-path"])
+    found = sorted((f.function.rsplit(".", 1)[-1], f.rule)
+                   for f in report.findings)
+    assert found == [
+        ("_add_request", "hp-eager-default"),
+        ("_build_span", "hp-make-work-per-event"),
+        ("_ingest_message", "hp-make-work-per-event"),
+        ("_state", "hp-eager-default"),
+    ], report.findings
+    eager = [f for f in report.findings if f.rule == "hp-eager-default"]
+    assert {f.severity for f in eager} == {"warn"}
+    assert any("_SocketState()" in f.message for f in eager)
+    assert any("deque()" in f.message for f in eager)
+
+
 # ---------------------------------------------------------------------------
 # The repo itself and the CLI
 

@@ -182,6 +182,45 @@ class TestEventDisorder:
             assert agent.stats["events_processed"] == len(events)
 
 
+class TestEventDispatch:
+    """An event type no handler takes is counted as unknown, through
+    ``poll()`` and ``_process_event`` alike; a subclass of a known type
+    is resolved once and memoized."""
+
+    class Heartbeat:
+        """Some future kernel-side record the agent has no handler for."""
+
+    class TaggedRecord(SyscallRecord):
+        pass
+
+    def test_unknown_event_type_is_counted_not_processed(self):
+        agent = DeepFlowAgent(Kernel(Simulator(), "n1"), agent_index=1)
+        request = http1.encode_request("GET", "/x")
+        agent.perf.submit(_record(Direction.INGRESS, 0.1, 1, request, 1))
+        agent.perf.submit(self.Heartbeat())
+        agent._process_event(self.Heartbeat())
+        assert agent.poll() == 2
+        assert agent.stats["events_processed"] == 1
+        assert agent.stats["syscall_records"] == 1
+        assert agent.stats["unknown_events"] == 2
+        assert agent.health()["unknown_events"] == 2
+        assert self.Heartbeat not in agent._dispatch
+
+    def test_subclass_of_known_type_is_memoized_and_processed(self):
+        agent = DeepFlowAgent(Kernel(Simulator(), "n1"), agent_index=1)
+        base = _record(Direction.INGRESS, 0.1, 1,
+                       http1.encode_request("GET", "/x"), 1)
+        fields = [getattr(base, name) for name in SyscallRecord.__slots__]
+        agent.perf.submit(self.TaggedRecord(*fields))
+        agent.poll()
+        agent._process_event(self.TaggedRecord(*fields))
+        assert agent._dispatch[self.TaggedRecord] \
+            == agent._process_syscall_record
+        assert agent.stats["events_processed"] == 2
+        assert agent.stats["syscall_records"] == 2
+        assert agent.stats["unknown_events"] == 0
+
+
 class TestProxyFaultLifecycle:
     def test_clear_faults_restores_service(self):
         sim = Simulator(seed=6)

@@ -175,6 +175,32 @@ class TestFlushAndClose:
         assert msg.end_time == pytest.approx(1.051)
 
 
+class TestSocketStateAllocation:
+    def test_socket_state_is_built_once_per_socket(self, monkeypatch):
+        """Per-socket state is allocated on the first message of a
+        socket, not built and thrown away on every message."""
+        from repro.agent import sessions
+
+        built = []
+
+        class CountingState(sessions._SocketState):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(sessions, "_SocketState", CountingState)
+        aggregator = SessionAggregator()
+        completed = 0
+        for index in range(50):
+            for socket_id in (1, 2):
+                msg_type = (MessageType.REQUEST if index % 2 == 0
+                            else MessageType.RESPONSE)
+                completed += len(aggregator.add(
+                    message(msg_type, t=index * 0.01, socket_id=socket_id)))
+        assert completed == 50
+        assert len(built) == 2
+
+
 class TestSessionInvariants:
     @given(st.lists(st.sampled_from(["req", "resp"]), min_size=1,
                     max_size=40))

@@ -42,6 +42,14 @@ or nested function (a closure per event), an f-string or comprehension,
 and a record class built with keyword arguments (build it positionally,
 in field order).  They also seed the loop-body closure above.
 
+A fourth rule runs over the whole body of every function in the hot
+closure: ``hp-eager-default`` (warn) flags
+``mapping.setdefault(key, Ctor())`` and ``mapping.get(key, Ctor())`` —
+a default built on every call whether or not the key is present (the
+agent's session table built and threw away a deque and two ordered
+dicts per message for forty sockets).  Constants such as ``()`` are
+fine; the fix is get, test for ``None``, build on the miss.
+
 Dynamic dispatch hides the agent's handler table from the call graph,
 so the seed list names the handler methods explicitly; module-level
 entry points (the OTLP encoder) are seeded by qualified name.
@@ -70,11 +78,17 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
                          "merge_boundaries", "take_component_events",
                          "component_spans", "component_ids", "span_list"),
     "TraceGraphIndex": ("link_batch",),
-    "DeepFlowAgent": ("poll", "_process_event", "_dispatch_slow",
+    "DeepFlowAgent": ("poll", "_process_event", "_resolve_handler",
                       "_process_coroutine_event", "_process_close_event",
                       "_process_uprobe_record", "_process_syscall_record",
                       "_process_degraded_record", "_ingest_message",
-                      "_emit_session", "_on_enter", "_on_exit"),
+                      "_emit_session", "_build_span", "_finalize_span",
+                      "_on_enter", "_on_exit"),
+    # The agent calls the two typed entries directly; add() is the same
+    # pair behind the public one-message entry.
+    "SessionAggregator": ("add", "_add_request", "_match_response",
+                          "_pair", "_state"),
+    "AssociationTracker": ("observe", "assign_systrace", "_advance"),
     # The continuous assembler's push entry runs per ingest batch with
     # per-span and per-link-event loops; parent assembly (which sorts)
     # is deliberately split into finalize_pending, off this closure.
@@ -129,6 +143,9 @@ PER_EVENT_SEEDS: dict[str, tuple[str, ...]] = {
     "HookRegistry": ("fire",),
     "PerfBuffer": ("submit",),
     "Flow": ("send", "_transmit"),
+    # Once per message and once per session: a keyword-built Message or
+    # Span here is the make-work the agent rewrite removed.
+    "DeepFlowAgent": ("_ingest_message", "_build_span"),
 }
 
 ALLOC_CALLS = {"list", "dict", "set", "tuple", "frozenset", "sorted"}
@@ -243,6 +260,8 @@ class HotPathChecker(Checker):
             for body in _loop_bodies(info.node):
                 yield from self._check_body(body, path, qualname,
                                             reported)
+            yield from self._check_eager_defaults(info.node.body, path,
+                                                  qualname)
         for qualname, info in sorted(alloc_free_functions(project).items()):
             path = info.module.rel_display(project.repo_root)
             yield from self._check_guard(info.node.body, path, qualname)
@@ -281,6 +300,25 @@ class HotPathChecker(Checker):
                              f"positionally"))
             if kind != "closure":
                 stack.extend(ast.iter_child_nodes(node))
+
+    def _check_eager_defaults(self, body: list[ast.stmt], path: str,
+                              qualname: str) -> Iterator[Finding]:
+        """Flag ``.setdefault(key, Ctor())`` / ``.get(key, Ctor())``
+        anywhere in a hot body: the default is built on every call."""
+        for node in _walk_body(body):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("setdefault", "get")
+                    and len(node.args) == 2
+                    and isinstance(node.args[1], ast.Call)):
+                yield Finding(
+                    path=path, line=node.lineno, checker=self.name,
+                    rule="hp-eager-default", severity="warn",
+                    function=qualname,
+                    message=(f".{node.func.attr}(key, "
+                             f"{ast.unparse(node.args[1])}) builds its "
+                             f"default on every call, hit or miss — get, "
+                             f"test for None, build on the miss"))
 
     def _check_guard(self, body: list[ast.stmt], path: str,
                      qualname: str) -> Iterator[Finding]:
