@@ -84,9 +84,9 @@ def main() -> None:
     print(f"finish reasons: {reasons}")
 
     print("\n--- one exported trace (OTLP/JSON excerpt) ---")
-    payload = exporter.trace_payloads[0]
+    payload = exporter.trace_payloads[0]     # compact OTLP/JSON text
     decode_otlp_json(payload)        # schema-validates
-    resource = payload["resourceSpans"][0]
+    resource = json.loads(payload)["resourceSpans"][0]
     span = resource["scopeSpans"][0]["spans"][0]
     print(json.dumps({"resource": resource["resource"],
                       "first_span": span}, indent=2, sort_keys=True))

@@ -13,24 +13,27 @@ tooling in two formats, each a plain function:
   ``http.method``, ``http.route``, ``http.status_code``) documented in
   :data:`SPAN_ATTRIBUTE_CONVENTIONS`.
 
-OTLP/JSON is encoded in one pass, :class:`Span` to wire dicts, and
-round-trips: :func:`decode_otlp_json` validates the full schema (raising
-:class:`OtlpDecodeError` on any deviation) and its inverse
-:func:`encode_decoded` re-encodes the decoded form byte-identically —
-export → decode → re-export is a fixed point, which the property tests
+OTLP/JSON is written as **text, in one pass**: :class:`Span` to the
+compact wire string an OTLP/HTTP endpoint takes, with no dict tree in
+between.  It round-trips: :func:`decode_otlp_json` validates the full
+schema (raising :class:`OtlpDecodeError` on any deviation) and its
+inverse :func:`encode_decoded` re-encodes the decoded form — export →
+decode → re-export is a fixed point on bytes, which the property tests
 in ``tests/test_otlp_roundtrip.py`` enforce.  Pipeline self-metrics
-export as ``resourceMetrics`` (:func:`metrics_to_otlp_json`).
+export as a ``resourceMetrics`` dict (:func:`metrics_to_otlp_json`).
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from typing import Any, Callable, Optional
 
 from repro.core.metrics import PipelineMetrics
-from repro.core.span import Span, SpanSide, Trace
+from repro.core.span import Span, SpanKind, SpanSide, Trace
 
 #: Scope identity stamped on every exported payload.
 SCOPE_NAME = "repro.deepflow"
@@ -83,17 +86,9 @@ class OtlpDecodeError(ValueError):
     """An OTLP-shaped payload failed schema validation."""
 
 
-#: Precomputed id masks/format specs: _hex_id runs three times per
-#: exported span, so the per-call ``16 ** width`` exponentiation and
-#: f-string spec assembly are worth hoisting.
-_HEX_SPEC = {16: ((1 << 64) - 1, "016x"), 32: ((1 << 128) - 1, "032x")}
-
-
-def _hex_id(value: int | None, width: int = 16) -> str:
-    if value is None:
-        return ""
-    mask, spec = _HEX_SPEC[width]
-    return format(value & mask, spec)
+#: Span ids are 16 hex digits on the wire, trace ids 32.
+_MASK_64 = (1 << 64) - 1
+_MASK_128 = (1 << 128) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +111,11 @@ def span_to_jaeger(span: Span, trace_id: str) -> dict[str, Any]:
     references = []
     if span.parent_id is not None:
         references.append({"refType": "CHILD_OF", "traceID": trace_id,
-                           "spanID": _hex_id(span.parent_id)})
+                           "spanID": "%016x" % (span.parent_id
+                                                & _MASK_64)})
     return {
         "traceID": trace_id,
-        "spanID": _hex_id(span.span_id),
+        "spanID": "%016x" % (span.span_id & _MASK_64),
         "operationName": span.endpoint or span.protocol or "span",
         "references": references,
         "startTime": int(span.start_time * 1e6),
@@ -132,7 +128,7 @@ def span_to_jaeger(span: Span, trace_id: str) -> dict[str, Any]:
 def trace_to_jaeger(trace: Trace) -> dict[str, Any]:
     """A whole trace in the Jaeger UI's ``{data: [...]}`` element form."""
     roots = trace.roots()
-    trace_id = _hex_id(roots[0].span_id if roots else 0, width=32)
+    trace_id = "%032x" % ((roots[0].span_id if roots else 0) & _MASK_128)
     processes = {}
     for span in trace:
         key = f"p-{span.process_name or span.device_name}"
@@ -152,47 +148,80 @@ def trace_to_jaeger(trace: Trace) -> dict[str, Any]:
 # Canonical OTLP/JSON form
 # ---------------------------------------------------------------------------
 
-def _span_kind(span: Span) -> str:
-    """OTLP span kind: messaging sides map to producer/consumer."""
-    messaging = span.protocol in MESSAGING_PROTOCOLS
-    if span.side is SpanSide.SERVER:
-        return "SPAN_KIND_CONSUMER" if messaging else "SPAN_KIND_SERVER"
-    if span.side is SpanSide.CLIENT:
-        return "SPAN_KIND_PRODUCER" if messaging else "SPAN_KIND_CLIENT"
-    return "SPAN_KIND_INTERNAL"
+def _head(key: str, value_type: str) -> str:
+    """The text of one KeyValue up to its value.  An int64 is a decimal
+    string, so its head carries the opening quote and :data:`_INT_END`
+    the closing one."""
+    return '{"key":%s,"value":{"%sValue":%s' % (
+        _quote(key), value_type, '"' if value_type == "int" else "")
 
 
-def _span_status(span: Span) -> dict[str, str]:
-    """The OTLP ``status`` object (a message only on errors)."""
-    if span.is_error:
-        return {"code": "STATUS_CODE_ERROR",
-                "message": str(span.tags.get("error.kind", "")) or "error"}
-    return {"code": "STATUS_CODE_OK" if span.status else "STATUS_CODE_UNSET"}
+_END = "}}"
+_INT_END = '"}}'
+_OPERATION = _head("deepflow.operation", "string")
+_PROTOCOL = _head("deepflow.protocol", "string")
+_REQUEST_BYTES = _head("deepflow.request_bytes", "int")
+_RESOURCE = _head("deepflow.resource", "string")
+_RESPONSE_BYTES = _head("deepflow.response_bytes", "int")
+_STATUS_CODE = _head("deepflow.status_code", "int")
+_HTTP_METHOD = _head("http.method", "string")
+_HTTP_ROUTE = _head("http.route", "string")
+_HTTP_STATUS_CODE = _head("http.status_code", "int")
+_HOST_NAME = _head("net.host.name", "string")
+_PID = _head("process.pid", "int")
+
+#: Keyed by the enum member: the whole KeyValue of the two enum-valued
+#: attributes, and the OTLP span kind as ``(plain, messaging)`` —
+#: message-queue sides are producer / consumer.
+_SIDE_ATTR = {side: _head("deepflow.side", "string")
+              + _quote(side.value) + _END for side in SpanSide}
+_SOURCE_ATTR = {kind: _head("deepflow.source", "string")
+                + _quote(kind.value) + _END for kind in SpanKind}
+_INTERNAL = ("SPAN_KIND_INTERNAL", "SPAN_KIND_INTERNAL")
+_SPAN_KIND = {SpanSide.SERVER: ("SPAN_KIND_SERVER", "SPAN_KIND_CONSUMER"),
+              SpanSide.CLIENT: ("SPAN_KIND_CLIENT", "SPAN_KIND_PRODUCER"),
+              SpanSide.NETWORK: _INTERNAL, SpanSide.APP: _INTERNAL}
+
+#: One span and one ``resourceSpans`` element as ``%`` templates over
+#: encoded parts; ``%d`` truncates float nanoseconds as ``int()`` does.
+_SPAN = ('{"traceId":"%s","spanId":"%016x","parentSpanId":"%s","name":%s,'
+         '"kind":"%s","startTimeUnixNano":"%d","endTimeUnixNano":"%d",'
+         '"attributes":[%s],"status":{"code":"%s"%s}}')
+_SERVICE = (
+    '{"resource":{"attributes":[' + _head("service.name", "string") + "%s"
+    + _END + "," + _head("telemetry.sdk.name", "string")
+    + _quote(SCOPE_NAME) + _END + ']},"scopeSpans":[{"scope":{"name":'
+    + _quote(SCOPE_NAME) + ',"version":' + _quote(SCOPE_VERSION)
+    + '},"spans":[%s]}]}')
 
 
 @lru_cache(maxsize=256)
 def _key_order(prefix: str, keys: tuple) -> Optional[tuple[tuple, ...]]:
-    """``(key, prefix + key)`` per key, ascending by prefixed key: the
-    order a tag or metric block exports in, memoized per key tuple (one
-    pod's spans carry the same keys in the same insertion order).
-    ``None`` when a key is not a plain ``str`` — ``(1,)`` and ``(True,)``
-    are one cache key but format differently, ``1`` and ``"1"`` format
-    alike — so that dict goes through :func:`_loose_key_order`."""
+    """``(key, head of the prefixed key's KeyValue)`` per key, ascending
+    by prefixed key: the order a tag or metric block exports in, memoized
+    per key tuple (one pod's spans carry the same keys in the same
+    insertion order).  ``None`` when a key is not a plain ``str`` —
+    ``(1,)`` and ``(True,)`` are one cache key but format differently,
+    ``1`` and ``"1"`` format alike — so that dict goes through
+    :func:`_loose_key_order`."""
     for key in keys:
         if key.__class__ is not str:
             return None
-    return tuple([(key, prefix + key) for key in sorted(keys)])
+    value_type = SPAN_ATTRIBUTE_PREFIXES[prefix][0]
+    return tuple([(key, _head(prefix + key, value_type))
+                  for key in sorted(keys)])
 
 
 def _loose_key_order(prefix: str, mapping: dict,
                      exported: Callable[[Any], Any]) -> list[tuple]:
     """Uncached :func:`_key_order`: keys formatting alike order by value."""
-    return sorted(((key, f"{prefix}{key}") for key in mapping),
-                  key=lambda pair: (pair[1], exported(mapping[pair[0]])))
+    value_type = SPAN_ATTRIBUTE_PREFIXES[prefix][0]
+    return [(key, _head(f"{prefix}{key}", value_type)) for key in sorted(
+        mapping, key=lambda key: (f"{prefix}{key}", exported(mapping[key])))]
 
 
-def _span_attributes(span: Span) -> list[dict[str, Any]]:
-    """The OTLP KeyValue list of *span*, emitted in ascending key order.
+def _span_json(span: Span, trace_hex: str) -> str:
+    """One span as OTLP/JSON text, attributes in ascending key order.
 
     The key space (:data:`SPAN_ATTRIBUTE_CONVENTIONS` and the
     :data:`SPAN_ATTRIBUTE_PREFIXES` namespaces) is statically ordered —
@@ -200,101 +229,87 @@ def _span_attributes(span: Span) -> list[dict[str, Any]]:
     ``deepflow.status_code`` < ``deepflow.tag.*`` < ``http.*`` <
     ``net.host.name`` < ``process.pid`` — so the statements below follow
     it and only the two open-ended blocks consult :func:`_key_order`.
-    Int64 values are decimal strings; non-finite metrics are dropped.
+    Int64 values are decimal strings; non-finite metrics are dropped and
+    the rest written as ``json`` writes an exact ``float``, by ``repr``.
     """
-    out: list[dict[str, Any]] = []
-    append = out.append
+    attrs: list[str] = []
+    append = attrs.append
     metrics = span.metrics
     if metrics:
-        for key, name in (_key_order("deepflow.metric.", tuple(metrics))
+        for key, head in (_key_order("deepflow.metric.", tuple(metrics))
                           or _loose_key_order("deepflow.metric.", metrics,
                                               float)):
             value = float(metrics[key])
             if isfinite(value):
-                append({"key": name, "value": {"doubleValue": value}})
+                append(head + repr(value) + _END)
     protocol = span.protocol
     operation = span.operation
+    resource = span.resource
+    status_code = span.status_code
     http_family = protocol.startswith("http") or protocol == "grpc"
     if operation and not http_family:
-        append({"key": "deepflow.operation",
-                "value": {"stringValue": str(operation)}})
+        append(_OPERATION + _quote(str(operation)) + _END)
     if protocol:
-        append({"key": "deepflow.protocol",
-                "value": {"stringValue": str(protocol)}})
+        append(_PROTOCOL + _quote(str(protocol)) + _END)
     if span.request_bytes:
-        append({"key": "deepflow.request_bytes",
-                "value": {"intValue": str(int(span.request_bytes))}})
-    if span.resource and not http_family:
-        append({"key": "deepflow.resource",
-                "value": {"stringValue": str(span.resource)}})
+        append(_REQUEST_BYTES + str(int(span.request_bytes)) + _INT_END)
+    if resource and not http_family:
+        append(_RESOURCE + _quote(str(resource)) + _END)
     if span.response_bytes:
-        append({"key": "deepflow.response_bytes",
-                "value": {"intValue": str(int(span.response_bytes))}})
-    append({"key": "deepflow.side",
-            "value": {"stringValue": span.side.value}})
-    append({"key": "deepflow.source",
-            "value": {"stringValue": span.kind.value}})
-    if span.status_code is not None and not http_family:
-        append({"key": "deepflow.status_code",
-                "value": {"intValue": str(int(span.status_code))}})
+        append(_RESPONSE_BYTES + str(int(span.response_bytes)) + _INT_END)
+    side = span.side
+    append(_SIDE_ATTR[side])
+    append(_SOURCE_ATTR[span.kind])
+    if status_code is not None and not http_family:
+        append(_STATUS_CODE + str(int(status_code)) + _INT_END)
     tags = span.tags
     if tags:
-        for key, name in (_key_order("deepflow.tag.", tuple(tags))
+        for key, head in (_key_order("deepflow.tag.", tuple(tags))
                           or _loose_key_order("deepflow.tag.", tags, str)):
-            append({"key": name, "value": {"stringValue": str(tags[key])}})
+            append(head + _quote(str(tags[key])) + _END)
     if http_family:
         if operation:
-            append({"key": "http.method",
-                    "value": {"stringValue": str(operation)}})
-        if span.resource:
-            append({"key": "http.route",
-                    "value": {"stringValue": str(span.resource)}})
-        if span.status_code is not None:
-            append({"key": "http.status_code",
-                    "value": {"intValue": str(int(span.status_code))}})
+            append(_HTTP_METHOD + _quote(str(operation)) + _END)
+        if resource:
+            append(_HTTP_ROUTE + _quote(str(resource)) + _END)
+        if status_code is not None:
+            append(_HTTP_STATUS_CODE + str(int(status_code)) + _INT_END)
     if span.host:
-        append({"key": "net.host.name",
-                "value": {"stringValue": str(span.host)}})
+        append(_HOST_NAME + _quote(str(span.host)) + _END)
     if span.pid:
-        append({"key": "process.pid",
-                "value": {"intValue": str(int(span.pid))}})
-    return out
+        append(_PID + str(int(span.pid)) + _INT_END)
+    parent_id = span.parent_id
+    if span.is_error:
+        code = "STATUS_CODE_ERROR"
+        message = ',"message":' + _quote(
+            str(tags.get("error.kind", "")) or "error")
+    else:
+        code = "STATUS_CODE_OK" if span.status else "STATUS_CODE_UNSET"
+        message = ""
+    return _SPAN % (
+        trace_hex, span.span_id & _MASK_64,
+        "" if parent_id is None else "%016x" % (parent_id & _MASK_64),
+        _quote(span.endpoint or protocol or "span"),
+        _SPAN_KIND[side][protocol in MESSAGING_PROTOCOLS],
+        span.start_time * 1e9, span.end_time * 1e9,
+        ",".join(attrs), code, message)
 
 
-def _resource_spans(attributes: list[dict], scope_name: str,
-                    scope_version: str, spans: list[dict]) -> dict:
-    """One ``resourceSpans`` element: a resource and its single scope."""
-    return {"resource": {"attributes": attributes},
-            "scopeSpans": [{"scope": {"name": scope_name,
-                                      "version": scope_version},
-                            "spans": spans}]}
-
-
-def trace_to_otlp_json(trace: Trace) -> dict[str, Any]:
-    """A whole trace in canonical OTLP/JSON ``resourceSpans`` form: one
-    pass from :class:`Span` to the wire dicts, grouped by service."""
+def trace_to_otlp_json(trace: Trace) -> str:
+    """A whole trace as canonical OTLP/JSON ``resourceSpans`` text,
+    grouped by service: byte for byte ``json.dumps(payload,
+    separators=(",", ":"))`` of the payload tree, written in one pass
+    from :class:`Span` without building it.  A consumer that wants the
+    tree calls ``json.loads``."""
     roots = trace.roots()
-    trace_hex = _hex_id(roots[0].span_id if roots else 0, width=32)
-    groups: dict[str, list[dict[str, Any]]] = {}
+    trace_hex = "%032x" % ((roots[0].span_id if roots else 0) & _MASK_128)
+    groups: dict[str, list[str]] = defaultdict(list)
     for span in trace:
-        service = (span.process_name or span.device_name or span.host
-                   or "unknown")
-        groups.setdefault(service, []).append({
-            "traceId": trace_hex,
-            "spanId": _hex_id(span.span_id),
-            "parentSpanId": _hex_id(span.parent_id),
-            "name": span.endpoint or span.protocol or "span",
-            "kind": _span_kind(span),
-            "startTimeUnixNano": str(int(span.start_time * 1e9)),
-            "endTimeUnixNano": str(int(span.end_time * 1e9)),
-            "attributes": _span_attributes(span),
-            "status": _span_status(span),
-        })
-    return {"resourceSpans": [_resource_spans([
-        {"key": "service.name", "value": {"stringValue": service}},
-        {"key": "telemetry.sdk.name", "value": {"stringValue": SCOPE_NAME}},
-    ], SCOPE_NAME, SCOPE_VERSION, groups[service])
-        for service in sorted(groups)]}
+        groups[span.process_name or span.device_name or span.host
+               or "unknown"].append(_span_json(span, trace_hex))
+    return '{"resourceSpans":[%s]}' % ",".join([
+        _SERVICE % (_quote(service), ",".join(groups[service]))
+        for service in sorted(groups)])
 
 
 #: Decoded value type → (OTLP value field, canonical conversion).
@@ -317,10 +332,10 @@ def _encode_attrs(attrs: list[tuple[str, str, Any]]) -> list[dict]:
     return out
 
 
-def encode_decoded(decoded: dict[str, Any]) -> dict[str, Any]:
-    """The inverse of :func:`decode_otlp_json`: for any payload *p* this
-    module produced, ``encode_decoded(decode_otlp_json(p)) == p`` — the
-    fixed point the round-trip property checks."""
+def encode_decoded(decoded: dict[str, Any]) -> str:
+    """The inverse of :func:`decode_otlp_json`: for any payload text *p*
+    this module produced, ``encode_decoded(decode_otlp_json(p)) == p`` —
+    the byte fixed point the round-trip property checks."""
     resource_spans = []
     for resource in decoded["resources"]:
         spans = []
@@ -339,14 +354,38 @@ def encode_decoded(decoded: dict[str, Any]) -> dict[str, Any]:
                 "attributes": _encode_attrs(span["attributes"]),
                 "status": status,
             })
-        resource_spans.append(_resource_spans(_encode_attrs(
-            resource["attributes"]), *resource["scope"], spans))
-    return {"resourceSpans": resource_spans}
+        scope_name, scope_version = resource["scope"]
+        resource_spans.append({
+            "resource": {"attributes": _encode_attrs(
+                resource["attributes"])},
+            "scopeSpans": [{"scope": {"name": scope_name,
+                                      "version": scope_version},
+                            "spans": spans}]})
+    return json.dumps({"resourceSpans": resource_spans},
+                      separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
 # Schema-validating decoder
 # ---------------------------------------------------------------------------
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """``object_pairs_hook``: a repeated key is an error, not last-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise OtlpDecodeError("payload repeats an object key")
+    return obj
+
+
+def _load_json(payload: Any) -> Any:
+    """Parse a payload given as JSON text; a parsed tree passes through."""
+    if not isinstance(payload, (str, bytes)):
+        return payload
+    try:
+        return json.loads(payload, object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise OtlpDecodeError(f"payload is not JSON: {exc}") from None
+
 
 def _expect_mapping(obj: Any, required: tuple[str, ...],
                     optional: tuple[str, ...], where: str) -> None:
@@ -480,16 +519,14 @@ def _decode_span(obj: Any, where: str) -> dict[str, Any]:
 def decode_otlp_json(payload: Any) -> dict[str, Any]:
     """Validate an ``otlp-json`` payload and return the decoded form.
 
-    Accepts the payload dict or its JSON text.  Raises
-    :class:`OtlpDecodeError` on any schema deviation: wrong key sets,
-    malformed ids, non-canonical int64 strings, unsorted attribute
-    keys, unknown enum values, or inverted time ranges.
+    Accepts the payload's JSON text (what :func:`trace_to_otlp_json`
+    returns) or the tree it parses to.  Raises :class:`OtlpDecodeError`
+    on any schema deviation: text that is not JSON or repeats an object
+    key, wrong key sets, malformed ids, non-canonical int64 strings,
+    unsorted attribute keys, unknown enum values, or inverted time
+    ranges.
     """
-    if isinstance(payload, (str, bytes)):
-        try:
-            payload = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise OtlpDecodeError(f"payload is not JSON: {exc}") from None
+    payload = _load_json(payload)
     _expect_mapping(payload, ("resourceSpans",), (), "payload")
     if not isinstance(payload["resourceSpans"], list):
         raise OtlpDecodeError("resourceSpans must be a list")
@@ -600,11 +637,7 @@ def decode_otlp_metrics(payload: Any) -> dict[str, dict[str, Any]]:
     float value, histograms count/sum/buckets.  Raises
     :class:`OtlpDecodeError` on shape violations.
     """
-    if isinstance(payload, (str, bytes)):
-        try:
-            payload = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise OtlpDecodeError(f"payload is not JSON: {exc}") from None
+    payload = _load_json(payload)
     _expect_mapping(payload, ("resourceMetrics",), (), "payload")
     out: dict[str, dict[str, Any]] = {}
     if not isinstance(payload["resourceMetrics"], list):
@@ -672,22 +705,23 @@ class OtlpStreamExporter:
     """Collects OTLP-shaped payloads from the continuous pipeline.
 
     Stands in for an OTLP/HTTP push endpoint: the continuous assembler
-    hands it every finished trace, and tests/benches read
-    ``trace_payloads`` back.  ``validate=True`` runs every payload
-    through the schema decoder on the way in (cheap insurance in tests;
-    off by default for throughput benches).
+    hands it every finished trace, and tests/benches read the request
+    bodies (OTLP/JSON text) back from ``trace_payloads``.
+    ``validate=True`` runs every payload through the schema decoder on
+    the way in (cheap insurance in tests; off by default for throughput
+    benches).
     """
 
     def __init__(self, *, validate: bool = False,
                  keep_payloads: bool = True) -> None:
         self.validate = validate
         self.keep_payloads = keep_payloads
-        self.trace_payloads: list[dict] = []
+        self.trace_payloads: list[str] = []
         self.exported_traces = 0
         self.exported_spans = 0
 
-    def export_trace(self, trace: Trace) -> dict[str, Any]:
-        """Encode and record one finished trace; returns the payload."""
+    def export_trace(self, trace: Trace) -> str:
+        """Encode and record one finished trace; returns its text."""
         payload = trace_to_otlp_json(trace)
         if self.validate:
             decode_otlp_json(payload)

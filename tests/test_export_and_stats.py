@@ -90,7 +90,8 @@ class TestOtlpExport:
     def test_parent_ids_resolve(self, traced_world):
         _server, _agents, trace, _report = traced_world
         spans = [span
-                 for entry in trace_to_otlp_json(trace)["resourceSpans"]
+                 for entry in json.loads(
+                     trace_to_otlp_json(trace))["resourceSpans"]
                  for span in entry["scopeSpans"][0]["spans"]]
         assert ({span["kind"] for span in spans}
                 == {"SPAN_KIND_SERVER", "SPAN_KIND_CLIENT"})
@@ -107,7 +108,7 @@ class TestOtlpJsonExport:
 
     def test_resource_scope_span_structure(self, traced_world):
         _server, _agents, trace, _report = traced_world
-        payload = trace_to_otlp_json(trace)
+        payload = json.loads(trace_to_otlp_json(trace))
         services = set()
         spans = []
         for entry in payload["resourceSpans"]:
@@ -122,7 +123,7 @@ class TestOtlpJsonExport:
 
     def test_hex_ids_and_int64_strings(self, traced_world):
         _server, _agents, trace, _report = traced_world
-        payload = trace_to_otlp_json(trace)
+        payload = json.loads(trace_to_otlp_json(trace))
         for entry in payload["resourceSpans"]:
             for span in entry["scopeSpans"][0]["spans"]:
                 assert len(span["traceId"]) == 32
@@ -133,7 +134,7 @@ class TestOtlpJsonExport:
 
     def test_status_mapping_reports_ok(self, traced_world):
         _server, _agents, trace, _report = traced_world
-        payload = trace_to_otlp_json(trace)
+        payload = json.loads(trace_to_otlp_json(trace))
         codes = {span["status"]["code"]
                  for entry in payload["resourceSpans"]
                  for span in entry["scopeSpans"][0]["spans"]}
@@ -142,7 +143,8 @@ class TestOtlpJsonExport:
     def test_decoder_round_trips_live_payload(self, traced_world):
         _server, _agents, trace, _report = traced_world
         payload = trace_to_otlp_json(trace)
-        decoded = decode_otlp_json(json.loads(json.dumps(payload)))
+        decoded = decode_otlp_json(payload)
+        assert decoded == decode_otlp_json(json.loads(payload))
         total = sum(len(resource["spans"])
                     for resource in decoded["resources"])
         assert total == len(trace)
@@ -151,10 +153,13 @@ class TestOtlpJsonExport:
 class TestJsonSerialization:
     def test_round_trips_through_json(self, traced_world):
         _server, _agents, trace, _report = traced_world
-        for encode in (trace_to_jaeger, trace_to_otlp_json):
-            payload = encode(trace)
-            text = json.dumps(payload, indent=2, sort_keys=True)
-            assert json.loads(text) == payload
+        payload = trace_to_jaeger(trace)
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        assert json.loads(text) == payload
+        # The OTLP form is already the compact, ASCII-only JSON text.
+        text = trace_to_otlp_json(trace)
+        assert text.isascii()
+        assert json.dumps(json.loads(text), separators=(",", ":")) == text
 
 
 class TestAgentStats:

@@ -3,13 +3,17 @@
 Three invariants the continuous pipeline leans on, checked over
 adversarial span populations:
 
-* **Byte identity.**  The one-pass encoder emits exactly what the
-  two-pass encoder it replaced did (``tests/otlp_two_pass_oracle.py``
-  keeps that one as the oracle), key order, dropped metrics and
-  off-annotation tag keys included.
+* **Byte identity.**  The encoder writes OTLP/JSON text straight from
+  :class:`Span`; that text is exactly ``json.dumps(payload,
+  separators=(",", ":"))`` of the payload dict the two-pass encoder
+  built (``tests/otlp_two_pass_oracle.py`` keeps that one as the
+  oracle), key order, dropped metrics, off-annotation tag keys and
+  every escape included.  The text stream of two whole scenarios is
+  pinned by SHA-256, computed that way at the last commit that built
+  the dict.
 * **Fixed point.**  ``export -> decode -> re-export`` must reproduce
-  the original payload byte-for-byte (after JSON round-trip), so a
-  downstream consumer that validates-then-forwards is lossless.
+  the original payload text byte-for-byte, so a downstream consumer
+  that validates-then-forwards is lossless.
 * **Attribute conventions.**  Every exported attribute key is either an
   exact entry of :data:`repro.core.export.SPAN_ATTRIBUTE_CONVENTIONS`
   or namespaced under :data:`repro.core.export.SPAN_ATTRIBUTE_PREFIXES`
@@ -22,14 +26,20 @@ decode loosely.
 """
 
 import copy
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import springboot
+from repro.apps.loadgen import LoadGenerator
+from repro.apps.proxy import NginxProxy
+from repro.apps.runtime import HttpService, Response
 from repro.core.export import (
     OtlpDecodeError,
+    OtlpStreamExporter,
     SPAN_ATTRIBUTE_CONVENTIONS,
     SPAN_ATTRIBUTE_PREFIXES,
     SPAN_KIND_VALUES,
@@ -43,7 +53,11 @@ from repro.core.export import (
 from repro.core.ids import IdAllocator
 from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span, SpanKind, SpanSide, Trace
+from repro.network.topology import ClusterBuilder
+from repro.network.transport import Network
 from repro.server.assembler import assign_parents
+from repro.server.server import DeepFlowServer
+from repro.sim.engine import Simulator
 from tests.otlp_two_pass_oracle import (decompose_trace,
                                         two_pass_trace_to_otlp_json)
 
@@ -125,6 +139,11 @@ def _assembled_trace(spans):
     return Trace(spans)
 
 
+def compact(payload) -> str:
+    """The wire text of a payload dict: no whitespace, ASCII escapes."""
+    return json.dumps(payload, separators=(",", ":"))
+
+
 class TestRoundTripProperties:
     @given(spans=st.lists(st.one_of(export_span(),
                                     export_span(loose_keys=True)),
@@ -132,17 +151,15 @@ class TestRoundTripProperties:
     @settings(max_examples=300, deadline=None)
     def test_one_pass_encoder_matches_two_pass_oracle(self, spans):
         trace = _assembled_trace(spans)
-        assert json.dumps(trace_to_otlp_json(trace)) \
-            == json.dumps(two_pass_trace_to_otlp_json(trace))
+        assert trace_to_otlp_json(trace) \
+            == compact(two_pass_trace_to_otlp_json(trace))
 
     @given(spans=st.lists(export_span(), min_size=1, max_size=12))
     @settings(max_examples=120, deadline=None)
     def test_export_decode_reexport_fixed_point(self, spans):
         trace = _assembled_trace(spans)
         payload = trace_to_otlp_json(trace)
-        # The wire form must survive JSON serialization untouched.
-        wire = json.loads(json.dumps(payload))
-        decoded = decode_otlp_json(wire)
+        decoded = decode_otlp_json(payload)
         assert encode_decoded(decoded) == payload
         # And the decoded structure is exactly the typed form the
         # two-pass encoder went through — decode is the inverse of
@@ -181,7 +198,7 @@ class TestRoundTripProperties:
     @settings(max_examples=120, deadline=None)
     def test_payload_schema_invariants(self, spans):
         trace = _assembled_trace(spans)
-        payload = trace_to_otlp_json(trace)
+        payload = json.loads(trace_to_otlp_json(trace))
         seen = 0
         for resource in payload["resourceSpans"]:
             for scope in resource["scopeSpans"]:
@@ -211,10 +228,9 @@ class TestOnePassEncoder:
                              None: 1.5, "None": float("inf")})
         trace = Trace([span])
         payload = trace_to_otlp_json(trace)
-        assert json.dumps(payload) \
-            == json.dumps(two_pass_trace_to_otlp_json(trace))
+        assert payload == compact(two_pass_trace_to_otlp_json(trace))
         attrs = [(attr["key"], *attr["value"].values())
-                 for attr in _first_span(payload)["attributes"]]
+                 for attr in _first_span(json.loads(payload))["attributes"]]
         assert attrs[:4] == [("deepflow.metric.1", 2.0),
                              ("deepflow.metric.2", -1.0),
                              ("deepflow.metric.2", 1.0),
@@ -225,8 +241,12 @@ class TestOnePassEncoder:
 
     def test_key_order_memo_skips_non_str_keys_and_is_bounded(self):
         from repro.core.export import _key_order
+        # Each key travels with the KeyValue text that precedes its value.
         assert _key_order("deepflow.tag.", ("b", "a")) == (
-            ("a", "deepflow.tag.a"), ("b", "deepflow.tag.b"))
+            ("a", '{"key":"deepflow.tag.a","value":{"stringValue":'),
+            ("b", '{"key":"deepflow.tag.b","value":{"stringValue":'))
+        assert _key_order("deepflow.metric.", ('q"',)) == (
+            ('q"', '{"key":"deepflow.metric.q\\"","value":{"doubleValue":'),)
         # (1,) == (True,) as cache keys but format differently.
         assert _key_order("deepflow.tag.", (1,)) is None
         assert _key_order("deepflow.tag.", (True, "a")) is None
@@ -240,8 +260,8 @@ class TestOnePassEncoder:
                       tags={f"k{i}": "v", "a": "w"}, metrics={f"m{i}": 1.0})
                  for i in range(cap + 40)]
         trace = Trace(spans + spans[:40])      # evicted entries refill
-        assert json.dumps(trace_to_otlp_json(trace)) \
-            == json.dumps(two_pass_trace_to_otlp_json(trace))
+        assert trace_to_otlp_json(trace) \
+            == compact(two_pass_trace_to_otlp_json(trace))
         assert _key_order.cache_info().currsize == cap
 
     def test_unknown_decoded_value_type_is_a_value_error(self):
@@ -254,17 +274,50 @@ class TestOnePassEncoder:
                                              "type 'bytes'"):
             encode_decoded(decoded)
 
-    def test_payload_shares_no_mutable_state_between_spans(self):
-        spans = [Span(span_id=i, kind=SpanKind.SYSCALL,
-                      side=SpanSide.SERVER, start_time=1.0, end_time=2.0,
-                      process_name="svc", tags={"pod": "p"},
-                      metrics={"rtt": 0.5}) for i in (1, 2)]
-        payload = trace_to_otlp_json(Trace(spans))
-        first, second = payload["resourceSpans"][0]["scopeSpans"][0]["spans"]
-        for mine, theirs in zip(first["attributes"], second["attributes"]):
-            assert mine == theirs
-            assert mine is not theirs
-            assert mine["value"] is not theirs["value"]
+    def test_torture_strings_escape_as_json_dumps_does(self):
+        """Everything a format template or a hand-rolled escaper gets
+        wrong, in every field that reaches the text."""
+        nasty = ('q"uote b\\ack\x00\x1f\n\t ünï 漢 \U0001f600 \ud800 '
+                 '%s %(x)d {0} {{}}')
+        spans = [
+            Span(span_id=1, kind=SpanKind.SYSCALL, side=SpanSide.SERVER,
+                 start_time=1.0, end_time=2.0, host=nasty,
+                 process_name=nasty, protocol="http", operation=nasty,
+                 resource=nasty, status="error", status_code=500,
+                 tags={nasty: nasty, "error.kind": nasty, "%": "{"},
+                 metrics={nasty: 1.5, "%d": 1e-07, "{}": 1e22}),
+            # non-http keys, a messaging kind, no parent, no service.
+            Span(span_id=(1 << 64) + 2, kind=SpanKind.UPROBE,
+                 side=SpanSide.CLIENT, start_time=1.25, end_time=1.5,
+                 protocol="kafka", operation=nasty, resource=nasty,
+                 status="ok", status_code=0, parent_id=None),
+            Span(span_id=3, kind=SpanKind.NETWORK, side=SpanSide.NETWORK,
+                 start_time=1.3, end_time=1.4, device_name="eth{0}%",
+                 parent_id=(1 << 64) + 2),
+        ]
+        trace = Trace(spans)
+        payload = trace_to_otlp_json(trace)
+        assert payload == compact(two_pass_trace_to_otlp_json(trace))
+        assert payload.isascii()
+        assert encode_decoded(decode_otlp_json(payload)) == payload
+        assert encode_decoded(decode_otlp_json(payload.encode())) == payload
+        tree = json.loads(payload)
+        services = [entry["resource"]["attributes"][0]["value"]["stringValue"]
+                    for entry in tree["resourceSpans"]]
+        assert services == sorted(["eth{0}%", nasty, "unknown"])
+        by_id = {span["spanId"]: span for entry in tree["resourceSpans"]
+                 for span in entry["scopeSpans"][0]["spans"]}
+        assert by_id["0000000000000001"]["name"] == f"{nasty} {nasty}".strip()
+        assert by_id["0000000000000001"]["status"] == {
+            "code": "STATUS_CODE_ERROR", "message": nasty}
+        assert by_id["0000000000000002"]["kind"] == "SPAN_KIND_PRODUCER"
+        assert by_id["0000000000000002"]["parentSpanId"] == ""
+        assert by_id["0000000000000003"]["parentSpanId"] == "0000000000000002"
+
+    def test_empty_trace(self):
+        payload = trace_to_otlp_json(Trace([]))
+        assert payload == '{"resourceSpans":[]}'
+        assert encode_decoded(decode_otlp_json(payload)) == payload
 
 
 @pytest.fixture()
@@ -275,7 +328,7 @@ def valid_payload():
                 resource="/", status="ok", status_code=200,
                 tags={"pod": "p1"}, metrics={"rtt": 0.5})
     assign_parents([span])
-    return trace_to_otlp_json(Trace([span]))
+    return json.loads(trace_to_otlp_json(Trace([span])))
 
 
 class TestDecoderRejections:
@@ -286,11 +339,29 @@ class TestDecoderRejections:
             decode_otlp_json(payload)
 
     def test_valid_payload_decodes(self, valid_payload):
-        decode_otlp_json(valid_payload)
-        decode_otlp_json(json.dumps(valid_payload))
+        decoded = decode_otlp_json(valid_payload)
+        assert decode_otlp_json(json.dumps(valid_payload)) == decoded
+        assert decode_otlp_json(compact(valid_payload).encode()) == decoded
 
     def test_not_json(self):
         self._reject("{not json")
+
+    def test_bytes_that_are_not_utf8(self):
+        self._reject(b"\xff\xfe{")
+        with pytest.raises(OtlpDecodeError):
+            decode_otlp_metrics(b"\xff\xfe{")
+
+    def test_repeated_object_key(self, valid_payload):
+        """Last-wins would accept text the fixed point cannot
+        reproduce."""
+        self._reject('{"resourceSpans":[],"resourceSpans":[]}')
+        text = compact(valid_payload)
+        assert text.count('"name":"GET /",') == 1
+        self._reject(text.replace('"name":"GET /",',
+                                  '"name":"x","name":"GET /",'))
+        with pytest.raises(OtlpDecodeError):
+            decode_otlp_metrics(
+                '{"resourceMetrics":[],"resourceMetrics":[]}')
 
     def test_unexpected_top_level_key(self, valid_payload):
         bad = copy.deepcopy(valid_payload)
@@ -389,3 +460,104 @@ class TestMetricsRoundTrip:
         entry["metrics"][0]["sum"]["dataPoints"][0]["asInt"] = 1
         with pytest.raises(OtlpDecodeError):
             decode_otlp_metrics(payload)
+
+
+# -- the payload text stream of two whole scenarios, pinned -------------------
+
+#: scenario → SHA-256 of the exported payload stream, computed on the
+#: parent commit ee4b481 (PR 20) as
+#: ``json.dumps(payload, separators=(",", ":"))`` per payload dict.
+PINS = {
+    "spring": ("3410bff891cd68f971c85670342e9768"
+               "be4f2dc22b9112ea93e0a5b2607b69a8"),
+    "nginx_404": ("3c9d0190b7010eb83967283e4f2c7e7a"
+                  "1c6202d78874d11493845b60efdef8ac"),
+}
+
+
+def stream_digest(payloads) -> str:
+    digest = hashlib.sha256()
+    for payload in payloads:
+        digest.update(payload.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _stream(sim, cluster, generator, shards=1):
+    """Run *generator* under polling agents and the push path; the
+    exporter's payloads in export order."""
+    exporter = OtlpStreamExporter(validate=True)
+    server = DeepFlowServer(shards=shards)
+    server.enable_streaming(exporter=exporter)
+    agents = []
+    for node in cluster.nodes:
+        agent = server.new_agent(node.kernel, node=node)
+        agent.deploy()
+        agent.start_polling(interval=0.01)
+        agents.append(agent)
+    report = sim.run_process(generator.run())
+    assert report.completed
+    sim.run(until=sim.now + 0.5)
+    for agent in agents:
+        agent.flush()
+    server.streaming.drain(sim.now + 10.0)
+    assert exporter.exported_spans == server.ingested_spans
+    return exporter.trace_payloads
+
+
+def spring_scenario():
+    """HTTP, Redis and MySQL sessions: both attribute families."""
+    sim = Simulator(seed=16)
+    app = springboot.build(sim)
+    pod = app.pods["loadgen"]
+    return _stream(sim, app.cluster, LoadGenerator(
+        pod.node, app.entry_ip, app.entry_port, rate=100, duration=0.2,
+        connections=4, path="/api/pin", pod=pod))
+
+
+def nginx_404_scenario():
+    """Two proxy tiers, one ingress answering 404: error statuses,
+    ``X-Request-ID`` association, a sharded store."""
+    sim = Simulator(seed=2024)
+    builder = ClusterBuilder(node_count=3)
+    client_pod = builder.add_pod(0, "client-pod")
+    edge_pod = builder.add_pod(0, "edge-lb")
+    ingress_pods = [builder.add_pod(i, f"nginx-ingress-{i}")
+                    for i in range(3)]
+    backend_pod = builder.add_pod(2, "shop-backend")
+    cluster = builder.build()
+    Network(sim, cluster)
+    backend = HttpService("shop", backend_pod.node, 9000, pod=backend_pod,
+                          service_time=0.001)
+
+    @backend.route("/")
+    def shop(worker, request):
+        yield from worker.work(0.0005)
+        return Response(200, body=b"checkout ok")
+
+    backend.start()
+    for index, pod in enumerate(ingress_pods):
+        ingress = NginxProxy(f"nginx-ingress-{index}", pod.node, 8081,
+                             pod=pod)
+        ingress.add_route("/", [(backend_pod.ip, 9000)])
+        if index == 1:
+            ingress.inject_fault("/checkout", status_code=404)
+        ingress.start()
+    edge = NginxProxy("edge-lb", edge_pod.node, 8080, pod=edge_pod)
+    edge.add_route("/", [(pod.ip, 8081) for pod in ingress_pods])
+    edge.start()
+    return _stream(sim, cluster, LoadGenerator(
+        client_pod.node, edge_pod.ip, 8080, rate=30, duration=0.5,
+        connections=3, path="/checkout", pod=client_pod, name="client"),
+        shards=4)
+
+
+SCENARIOS = {"spring": spring_scenario, "nginx_404": nginx_404_scenario}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_payload_stream_is_the_parents(name):
+    payloads = SCENARIOS[name]()
+    assert len(payloads) > 5
+    assert stream_digest(payloads) == PINS[name]
+    for payload in payloads:
+        assert encode_decoded(decode_otlp_json(payload)) == payload

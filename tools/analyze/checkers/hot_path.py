@@ -100,10 +100,12 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
 }
 
 #: Module-level functions seeding the hot closure, by qualified name.
-#: The one-pass OTLP encoder is seeded here rather than through
-#: ``OtlpStreamExporter.export_trace``, whose closure also holds the
-#: schema decoder behind ``validate=True`` — error-message f-strings in
-#: loops, by design, and off in every throughput run.
+#: The OTLP text encoder (``trace_to_otlp_json`` → ``_span_json`` per
+#: span → ``_key_order`` / ``_loose_key_order`` → ``_head``: fragments
+#: concatenated, no dict per attribute) is seeded here rather than
+#: through ``OtlpStreamExporter.export_trace``, whose closure also holds
+#: the schema decoder behind ``validate=True`` — error-message f-strings
+#: in loops, by design, and off in every throughput run.
 #: ``assign_parents`` is shared by the pull path (every ``trace()``) and
 #: the push path (every retired trace): its rules loop over the spans
 #: of one trace in canonical order, so a ``sorted()`` or comprehension
