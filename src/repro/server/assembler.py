@@ -43,10 +43,10 @@ _PATH_INDEX = attrgetter("path_index")
 class TraceAssembler:
     """Assembles traces from the span store on demand.
 
-    The *store* may be a single :class:`SpanStore` or a
-    :class:`repro.server.sharding.ShardedSpanStore` — the assembler only
-    needs ``component_spans``, which the sharded store implements as
-    scatter-gather, merging per-shard components across boundaries.
+    The *store* is the server's one :class:`repro.server.sharding.
+    ShardedSpanStore` (or a bare :class:`SpanStore`, which is a shard):
+    the assembler only needs ``component_spans``, scatter-gather across
+    the shards — one by default, with no boundary owner table.
     """
 
     def __init__(self, store: "SpanStore",

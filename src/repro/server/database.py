@@ -1,6 +1,10 @@
-"""Span database with association-key indexes.
+"""One shard of the span store, with association-key indexes.
 
-Every association identifier of Algorithm 1 (systrace_id, pseudo-thread,
+The server's one store is :class:`repro.server.sharding.ShardedSpanStore`
+(one shard by default, with no owner table), which routes and stamps
+tenant labels; filtering span lists by tenant is the server's job.
+
+Every association key of Algorithm 1 (systrace_id, pseudo-thread,
 X-Request-ID, per-flow TCP sequence, third-party trace id, queue message
 key) has a per-axis secondary index, and the same keys feed an
 incremental union-find (:class:`repro.server.index.TraceGraphIndex`), so
@@ -84,10 +88,6 @@ class SpanStore:
 
     # -- ingest ------------------------------------------------------------
 
-    def insert(self, span: Span) -> None:
-        """Register one span; index maintenance is deferred to commit."""
-        self.insert_many((span,))
-
     def insert_many(self, spans: Iterable[Span]) -> None:
         """Batch ingest: register each span and append it to the tail.
 
@@ -96,15 +96,27 @@ class SpanStore:
         the time run catch up lazily (:meth:`_commit_keys` /
         :meth:`_commit_time_index`) the first time a query needs them,
         in one fused pass over however many batches arrived since.
+        All or nothing: a duplicate id retracts this call's spans and
+        raises ``ValueError``.
         """
         spans_map = self._spans
-        tail_append = self._tail.append
+        tail = self._tail
+        mark = len(tail)
+        tail_append = tail.append
         for span in spans:
             span_id = span.span_id
             if span_id in spans_map:
+                self.retract(len(tail) - mark)
                 raise ValueError(f"duplicate span id {span_id}")
             spans_map[span_id] = span
             tail_append(span)
+
+    def retract(self, count: int) -> None:
+        """Unregister the last *count* spans, not yet committed."""
+        tail = self._tail
+        for span in tail[len(tail) - count:]:
+            del self._spans[span.span_id]
+        del tail[len(tail) - count:]
 
     # -- index commits -----------------------------------------------------
 

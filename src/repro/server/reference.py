@@ -12,10 +12,10 @@ exists because it *is* the paper's algorithm: Fig 15 times it against
 the span-list scan, the iteration-budget ablation truncates it, and the
 property tests hold the union-find equal to it and to a BFS oracle.
 
-The search reads the stores' per-axis postings through their one
-read-only accessor, ``carriers(tagged_keys)``, which
-:class:`repro.server.database.SpanStore` and
-:class:`repro.server.sharding.ShardedSpanStore` both provide.
+It reads the per-axis postings through one read-only accessor,
+``carriers(tagged_keys)``: a :class:`repro.server.database.SpanStore`
+shard answers it, the server's one store (:class:`repro.server.sharding.
+ShardedSpanStore`, one shard by default) fans it out to every shard.
 """
 
 from __future__ import annotations

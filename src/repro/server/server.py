@@ -14,7 +14,6 @@ from repro.core.export import OtlpStreamExporter, metrics_to_otlp_json
 from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span, SpanKind, SpanSide, Trace
 from repro.server.assembler import TraceAssembler
-from repro.server.database import SpanStore
 from repro.server.metricsdb import MetricsDatabase
 from repro.server.sharding import ShardedSpanStore
 from repro.server.streaming import ContinuousAssembler
@@ -24,24 +23,17 @@ from repro.server.tags import TagRegistry
 class DeepFlowServer:
     """Cluster-level collector, store, and query engine.
 
-    With ``shards > 1`` the span store is a
-    :class:`repro.server.sharding.ShardedSpanStore`: inserts route to
-    independent shard memtables by association-key hash × time window,
-    and ``trace()`` runs the scatter-gather cross-shard merge — the
-    query API is unchanged either way.  Tenant labels (``ingest_spans``)
-    and cluster labels (``new_agent``) thread through routing and the
-    span-list filters so one server instance models DeepFlow's
-    multi-cluster, multi-tenant deployment.
+    The span store is one :class:`repro.server.sharding.ShardedSpanStore`
+    of *shards* shards (one by default): inserts route by association-key
+    hash × time window, and ``trace()`` runs the scatter-gather merge.
+    Tenant labels (``ingest_spans``) and cluster labels (``new_agent``)
+    thread through routing and the span-list filters so one server
+    instance models DeepFlow's multi-cluster, multi-tenant deployment.
     """
 
     def __init__(self, shards: int = 1, streaming: bool = False):
         self.pipeline_metrics = PipelineMetrics()
-        if shards > 1:
-            self.store = ShardedSpanStore(shards,
-                                          metrics=self.pipeline_metrics)
-        else:
-            self.store = SpanStore()
-        self.shards = shards
+        self.store = ShardedSpanStore(shards, metrics=self.pipeline_metrics)
         self.tags = TagRegistry()
         self.metrics = MetricsDatabase()
         self.assembler = TraceAssembler(self.store)
@@ -50,7 +42,7 @@ class DeepFlowServer:
         self._m_ingested = self.pipeline_metrics.counter(
             "server.spans_ingested", "spans accepted by ingest")
         self._m_batches = self.pipeline_metrics.counter(
-            "server.ingest_batches", "agent shipments received")
+            "server.ingest_batches", "ingest calls")
         self._h_batch = self.pipeline_metrics.histogram(
             "server.ingest_batch_spans",
             bounds=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0),
@@ -113,13 +105,12 @@ class DeepFlowServer:
         stats = {
             "metrics": self.pipeline_metrics.snapshot(),
             "ingested_spans": self.ingested_spans,
+            "shards": self.store.shard_stats(),
         }
         if self.streaming is not None:
             stats["streaming"] = self.streaming.stats()
             if self.streaming.exporter is not None:
                 stats["export"] = self.streaming.exporter.stats()
-        if self.shards > 1:
-            stats["shards"] = self.store.shard_stats()
         return stats
 
     def pipeline_metrics_otlp(self, now: float) -> dict:
@@ -133,12 +124,12 @@ class DeepFlowServer:
                      now: Optional[float] = None) -> None:
         """Enrich and store a batch of spans from an agent.
 
-        The whole batch goes through :meth:`SpanStore.insert_many`, so
-        the time index is merged once per shipment and the union-find
+        The whole batch goes through :meth:`ShardedSpanStore.insert_many`,
+        so the time index is merged once per shipment and the union-find
         merges coalesce, instead of paying per-span index maintenance.
-        When *tenant* is given the label is stamped into each span's
-        tags and, on a sharded store, salts the routing hash so tenants
-        spread across shards independently.
+        When *tenant* is given the store stamps the label into each
+        span's tags and salts the routing hash so tenants spread across
+        shards independently.  A rejected batch leaves nothing behind.
 
         With streaming enabled the batch also pushes through the
         continuous assembler at sim time *now* (agents pass their
@@ -146,12 +137,7 @@ class DeepFlowServer:
         """
         for span in spans:
             self._enrich(span)
-            if tenant is not None:
-                span.tags.setdefault("tenant", tenant)
-        if tenant is not None and self.shards > 1:
-            self.store.insert_many(spans, tenant=tenant)
-        else:
-            self.store.insert_many(spans)
+        self.store.insert_many(spans, tenant)
         self.ingested_spans += len(spans)
         self._m_ingested.inc(len(spans))
         self._m_batches.inc()
@@ -180,17 +166,10 @@ class DeepFlowServer:
 
     def ingest_otel_span(self, span: Span,
                          now: Optional[float] = None) -> None:
-        """Third-party span integration (§3.3.2)."""
+        """Third-party span integration (§3.3.2): a one-span ingest."""
         if span.kind is not SpanKind.APP:
             raise ValueError("third-party spans must have kind APP")
-        self.store.insert(span)
-        self.ingested_spans += 1
-        self._m_ingested.inc()
-        streaming = self.streaming
-        if streaming is not None:
-            streaming.on_spans((span,),
-                               span.end_time if now is None else now)
-            streaming.finalize_pending()
+        self.ingest_spans((span,), now=now)
 
     # -- query API (what the front end calls) --------------------------------
 

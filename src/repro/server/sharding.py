@@ -1,16 +1,16 @@
-"""Sharded multi-tenant span store with scatter-gather trace assembly.
+"""The server's one span store: N shards, scatter-gather assembly.
 
 DeepFlow's server tier scales ingest and query by partitioning span
 storage across nodes while Algorithm 1 still has to stitch whole traces
 across partition boundaries.  :class:`ShardedSpanStore` reproduces that
 architecture in-process: N independent :class:`repro.server.database.
-SpanStore` shards, a stateless hash router, and a boundary-key layer
-that records association keys observed on more than one shard so
-``trace()`` can merge per-shard union-find components into the global
-component — the exact cross-partition correlation problem CrossTrace
-(arXiv:2508.11342) isolates: association keys do not respect partition
-edges, so assembly must merge components across shards rather than
-assume locality.
+SpanStore` shards (one by default, which keeps no owner table), a
+stateless hash router, and a boundary-key layer that records association
+keys observed on more than one shard so ``trace()`` can merge per-shard
+union-find components into the global component — the exact
+cross-partition correlation problem CrossTrace (arXiv:2508.11342)
+isolates: association keys do not respect partition edges, so assembly
+must merge components across shards rather than assume locality.
 
 Routing
 -------
@@ -48,9 +48,9 @@ the insert sequence alone — the same in every process, with no stable
 hash of a key involved.  A trace query then runs scatter-gather: fetch
 the start span's per-shard component, follow each boundary-forest
 component it touches (once) to components on other shards, and repeat
-to the fixed point.  The merged component provably equals what a single
-unsharded store returns (the boundary links restore exactly the
-cross-shard shared-key edges; the property tests in
+to the fixed point.  The merged component provably equals what one
+shard holding every span returns (the boundary links restore exactly
+the cross-shard shared-key edges; the property tests in
 tests/test_trace_index_properties.py hold the two in lock step for
 shard counts up to 8).
 
@@ -58,7 +58,7 @@ The two phases are separate methods — :meth:`seal_shard` commits one
 shard, :meth:`merge_boundaries` consumes what the commits logged — so
 each can be tested and timed on its own; callers that don't care use
 :meth:`flush` or just query (queries trigger the commits they need,
-same as the unsharded store).
+same as a shard does).
 """
 
 from __future__ import annotations
@@ -116,8 +116,9 @@ class ShardedSpanStore:
         self.shards: list[SpanStore] = []
         for _ in range(shard_count):
             shard = SpanStore()
-            # Arm the first-seen-key log: the boundary layer consumes it.
-            shard.first_seen_keys = []
+            if shard_count > 1:  # no key can straddle one shard
+                # Arm the first-seen-key log: the boundary layer consumes it.
+                shard.first_seen_keys = []
             self.shards.append(shard)
         #: Cross-shard union-find over span ids; only spans whose key was
         #: observed on a second shard ever enter it.
@@ -186,10 +187,6 @@ class ShardedSpanStore:
 
     # -- ingest ------------------------------------------------------------
 
-    def insert(self, span: Span, tenant: Optional[str] = None) -> None:
-        """Route and register one span."""
-        self.insert_many((span,), tenant=tenant)
-
     def insert_many(self, spans: Iterable[Span],
                     tenant: Optional[str] = None) -> None:
         """Route each span and register it with its shard.
@@ -198,25 +195,30 @@ class ShardedSpanStore:
         append per span; every index — per-shard secondary indexes,
         per-shard union-find, time runs, and the cross-shard boundary
         table — catches up lazily when a query (or :meth:`flush`) needs
-        it.  When *tenant* is given the label is stamped into
-        ``span.tags`` and salted into the route.
+        it.  A *tenant* that is not None is stamped into ``span.tags``
+        and, if non-empty, salted into the route.
 
         Duplicate span ids are rejected per shard (same guarantee a
-        distributed deployment can give without a global id service);
-        two *different* spans reusing one id may land on two shards
-        undetected — span ids are allocator-unique by construction.
+        distributed deployment can give without a global id service),
+        the whole batch retracted; two *different* spans reusing one id
+        may land on two shards undetected — span ids are
+        allocator-unique by construction.
         """
-        routed = 0
-        for shard, batch in zip(self.shards,
-                                self.route_batches(spans, tenant)):
+        shards = self.shards
+        batches = self.route_batches(spans, tenant)
+        for index, batch in enumerate(batches):
             if batch:
-                if tenant:
+                if tenant is not None:
                     for span in batch:
                         span.tags.setdefault("tenant", tenant)
                 # One tight loop (duplicate check + append) per shard.
-                shard.insert_many(batch)
-                routed += len(batch)
-        self._m_routed.inc(routed)
+                try:
+                    shards[index].insert_many(batch)
+                except ValueError:
+                    for shard, taken in zip(shards[:index], batches):
+                        shard.retract(len(taken))
+                    raise
+        self._m_routed.inc(sum(map(len, batches)))
 
     # -- commit / seal phases ---------------------------------------------
 
@@ -226,7 +228,7 @@ class ShardedSpanStore:
         :meth:`merge_boundaries`.  Returns how many are queued."""
         shard = self.shards[shard_index]
         shard.flush()
-        return len(shard.first_seen_keys)
+        return len(shard.first_seen_keys or ())
 
     def merge_boundaries(self) -> None:
         """Walk the queued first-seen logs, in shard order, through the
@@ -387,12 +389,12 @@ class ShardedSpanStore:
     # -- span-list queries (Fig 15) ----------------------------------------
 
     def span_list(self, start: float, end: float,
-                  predicate: Optional[Callable[[Span], bool]] = None,
-                  tenant: Optional[str] = None) -> list[Span]:
+                  predicate: Optional[Callable[[Span], bool]] = None
+                  ) -> list[Span]:
         """Spans with start_time in [start, end) in (start_time,
-        span_id) order, optionally filtered by predicate and/or tenant
-        label: the shards' sorted slices, concatenated in shard order
-        and merged by one sort (Timsort merges sorted runs in C)."""
+        span_id) order, optionally filtered: the shards' sorted slices,
+        concatenated in shard order and merged by one sort (Timsort
+        merges sorted runs in C)."""
         merged: list[tuple[float, int, Span]] = []
         for shard in self.shards:
             merged += shard.time_range(start, end)
@@ -402,11 +404,9 @@ class ShardedSpanStore:
             # Two shards held different spans under one id (see
             # ``insert_many``): the tie compared spans.  Lower shard first.
             merged.sort(key=itemgetter(0, 1))
-        if tenant is None and predicate is None:
+        if predicate is None:
             return [entry[2] for entry in merged]
-        return [span for _start, _id, span in merged
-                if (tenant is None or span.tags.get("tenant") == tenant)
-                and (predicate is None or predicate(span))]
+        return [span for _start, _id, span in merged if predicate(span)]
 
     # -- observability -----------------------------------------------------
 

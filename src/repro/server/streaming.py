@@ -8,11 +8,11 @@ state per in-flight trace, driven by two signals —
 * the batch of spans just inserted (each new span opens a singleton
   live trace), and
 * the union-find's component-changed events
-  (``SpanStore.take_component_events`` /
-  ``ShardedSpanStore.take_component_events``): every shared-key link
+  (``ShardedSpanStore.take_component_events``): every shared-key link
   the key commit discovers, including cross-shard boundary links,
   arrives as an ``(a, b)`` pair and merges span *a*'s live trace into
-  span *b*'s.
+  span *b*'s — or, if *b*'s already retired, counts a
+  ``stream.late_links`` and leaves *a*'s to be exported without it.
 
 Live traces walk a sim-clock lifecycle::
 
@@ -114,9 +114,9 @@ class FinishedTrace:
 class ContinuousAssembler:
     """Push-path trace assembly over an armed span store.
 
-    *store* is a :class:`repro.server.database.SpanStore` or
-    :class:`repro.server.sharding.ShardedSpanStore`; construction arms
-    its component-event sink.  Feed it with :meth:`on_spans` after each
+    *store* is the server's one store (one :class:`repro.server.
+    database.SpanStore` shard works too); construction arms its
+    component-event sink.  Feed it with :meth:`on_spans` after each
     ingest batch and tick it with sim time (the server does both from
     ``ingest_spans``); read finished traces from :attr:`finished` or
     the exporter.
@@ -167,6 +167,8 @@ class ContinuousAssembler:
             "stream.reopened", "quiescent traces reopened by a span")
         self._m_quiesced = metrics.counter(
             "stream.quiesced", "open traces idled into quiescence")
+        self._m_late = metrics.counter(
+            "stream.late_links", "link events into a retired trace")
         self._m_budget = metrics.counter(
             "stream.budget_violations",
             "latency-budget violations seen at arrival")
@@ -202,6 +204,7 @@ class ContinuousAssembler:
         check_budgets = budgets and sink is not None
         count = 0
         violations = 0
+        late = 0
         for span in spans:
             span_id = span.span_id
             count += 1
@@ -221,10 +224,12 @@ class ContinuousAssembler:
             if ta is None:
                 continue
             tb = state_of.get(b)
-            if tb is None or tb is ta:
-                continue
-            self._merge(ta, tb)
+            if tb is None:  # *b*'s trace already retired
+                late += 1
+            elif tb is not ta:
+                self._merge(ta, tb)
         self._m_spans.inc(count)
+        self._m_late.inc(late)
         if violations:
             self._m_budget.inc(violations)
         if now - self._swept_at >= self.sweep_interval:
@@ -360,6 +365,7 @@ class ContinuousAssembler:
             "merges": self._m_merges.value,
             "reopened": self._m_reopened.value,
             "quiesced": self._m_quiesced.value,
+            "late_links": self._m_late.value,
             "budget_violations": self._m_budget.value,
             "spans_seen": self._m_spans.value,
         }

@@ -50,16 +50,33 @@ class TestSpanStore:
     def test_insert_and_get(self):
         store = SpanStore()
         s = span()
-        store.insert(s)
+        store.insert_many((s,))
         assert store.get(s.span_id) is s
         assert len(store) == 1
 
     def test_duplicate_id_rejected(self):
         store = SpanStore()
         s = span()
-        store.insert(s)
+        store.insert_many((s,))
         with pytest.raises(ValueError):
-            store.insert(s)
+            store.insert_many((s,))
+
+    def test_rejected_batch_is_retracted_whole(self):
+        store = SpanStore()
+        kept = [span(systrace_id=5), span(systrace_id=5)]
+        store.insert_many(kept)
+        kept_ids = {s.span_id for s in kept}
+        assert store.component_ids(kept[0].span_id) == kept_ids
+        fresh = span(systrace_id=5)
+        with pytest.raises(ValueError):
+            store.insert_many([fresh, span(), fresh])
+        assert len(store) == 2
+        assert store.get(fresh.span_id) is None
+        assert store.component_ids(kept[0].span_id) == kept_ids
+        assert len(store.span_list(0.0, 10.0)) == 2
+        store.insert_many([fresh])
+        assert store.component_ids(fresh.span_id) == kept_ids | {
+            fresh.span_id}
 
     def test_search_by_systrace(self):
         store = SpanStore()

@@ -92,9 +92,9 @@ class TestIngest:
     def test_duplicate_id_on_same_shard_rejected(self):
         store = ShardedSpanStore(4)
         span = make_span(5, systrace=1)
-        store.insert(span)
+        store.insert_many((span,))
         with pytest.raises(ValueError):
-            store.insert(make_span(5, systrace=1))
+            store.insert_many((make_span(5, systrace=1),))
 
     def test_get_probes_shards(self):
         store = ShardedSpanStore(4)
@@ -216,8 +216,7 @@ class TestSpanListMerge:
             return ((tenant is None or span.tags.get("tenant") == tenant)
                     and (predicate is None or predicate(span)))
 
-        got = sharded.span_list(*bounds, predicate=predicate,
-                                tenant=tenant)
+        got = sharded.span_list(*bounds, predicate=wanted)
         expected = single.span_list(*bounds, predicate=wanted)
         assert [id(span) for span in got] == [id(span)
                                               for span in expected]
@@ -363,19 +362,29 @@ class TestBoundaryPhases:
 
 class TestTenancy:
     def test_tenant_label_stamped_and_filterable(self):
+        """The store stamps the label; the server's label filter is
+        the one tenant filter of span lists."""
+        for shards in (1, 4):
+            server = DeepFlowServer(shards=shards)
+            acme = [make_span(i, systrace=i, start=1.0) for i in range(10)]
+            globex = [make_span(100 + i, systrace=50 + i, start=2.0)
+                      for i in range(10)]
+            server.ingest_spans(acme, tenant="acme")
+            server.ingest_spans(globex, tenant="globex")
+            assert all(s.tags["tenant"] == "acme" for s in acme)
+            listed = server.span_list(0.0, 10.0, tenant="acme")
+            assert [s.span_id for s in listed] == list(range(10))
+            # Time order is preserved inside the filter.
+            both = server.span_list(0.0, 10.0)
+            assert [s.span_id for s in both] == sorted(
+                range(10)) + sorted(range(100, 110))
+
+    def test_empty_tenant_is_stamped_but_does_not_salt(self):
         store = ShardedSpanStore(4)
-        acme = [make_span(i, systrace=i, start=1.0) for i in range(10)]
-        globex = [make_span(100 + i, systrace=50 + i, start=2.0)
-                  for i in range(10)]
-        store.insert_many(acme, tenant="acme")
-        store.insert_many(globex, tenant="globex")
-        assert all(s.tags["tenant"] == "acme" for s in acme)
-        listed = store.span_list(0.0, 10.0, tenant="acme")
-        assert {s.span_id for s in listed} == set(range(10))
-        # Time order is preserved inside the filter.
-        both = store.span_list(0.0, 10.0)
-        assert [s.span_id for s in both] == sorted(
-            range(10)) + sorted(range(100, 110))
+        spans = [make_span(i, systrace=i) for i in range(20)]
+        assert store.route_batches(spans, "") == store.route_batches(spans)
+        store.insert_many(spans, "")
+        assert all(s.tags["tenant"] == "" for s in spans)
 
     def test_search_tenant_filter(self):
         store = ShardedSpanStore(2)
@@ -398,6 +407,54 @@ class TestTenancy:
         store.insert_many([a], tenant="acme")
         store.insert_many([b], tenant="globex")
         assert store.component_ids(1) == {1, 2}
+
+
+class TestOneStore:
+    def test_default_server_runs_one_shard_and_no_owner_table(self):
+        server = DeepFlowServer()
+        assert isinstance(server.store, ShardedSpanStore)
+        assert server.store.shard_count == 1
+        server.ingest_spans([make_span(i, systrace=7, xreq="r", start=i)
+                             for i in range(6)])
+        assert {s.span_id for s in server.trace(0)} == set(range(6))
+        stats = server.pipeline_stats()["shards"]
+        assert stats["shards"] == 1
+        assert stats["boundary_keys"] == 0
+        assert server.store.seal_shard(0) == 0
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_rejected_batch_leaves_nothing_behind(self, shards):
+        """A duplicate span id rejects the whole batch: nothing of it is
+        stored, counted or pushed, and the batch re-sent without the
+        duplicate goes through the push path normally."""
+        server = DeepFlowServer(shards=shards, streaming=True)
+        server.ingest_spans([make_span(i, systrace=i) for i in range(4)],
+                            now=1.01)
+        stream = server.streaming
+
+        def seen():
+            return (len(server.store), server.ingested_spans,
+                    stream.stats()["spans_seen"])
+
+        before = seen()
+        batch = [make_span(100 + i, systrace=100 + i // 2)
+                 for i in range(8)]
+        batch[6] = make_span(1, systrace=1)  # the 7th repeats a stored id
+        if shards > 1:
+            # Spans routed ahead of the duplicate, on its shard and on a
+            # lower one, are what the error path has to take back.
+            dup = server.store._route(batch[6], 0)
+            routes = [server.store._route(span, 0) for span in batch[:6]]
+            assert dup in routes and min(routes) < dup
+        with pytest.raises(ValueError):
+            server.ingest_spans(batch, now=1.02)
+        assert seen() == before
+        assert all(server.store.get(100 + i) is None for i in range(8))
+        del batch[6]
+        server.ingest_spans(batch, now=1.02)
+        stream.drain(5.0)
+        assert stream.exporter.exported_spans == 4 + 7
+        assert {s.span_id for s in server.trace(100)} == {100, 101}
 
 
 class TestSingleShardDegenerate:

@@ -271,6 +271,27 @@ class TestWatchdogBudgets:
         assert watchdog.suppressed[("error-burst", "svc")] == 2
 
 
+class TestLateLinks:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_link_into_a_retired_trace_is_counted(self, shards):
+        """A span sharing a systrace id with a trace that already
+        finished cannot join it: the push path exports it alone and
+        counts the link, while the pull path returns both spans."""
+        server = DeepFlowServer(shards=shards, streaming=True)
+        stream = server.streaming
+        server.ingest_spans([_span(1, 0.0, 0.5, systrace=7)], now=0.5)
+        stream.tick(2.0)
+        assert stream.stats()["late_links"] == 0
+        server.ingest_spans([_span(2, 2.0, 2.1, systrace=7)], now=2.1)
+        stream.drain(5.0)
+        assert [[s.span_id for s in record.trace]
+                for record in stream.finished] == [[1], [2]]
+        assert stream.stats()["late_links"] == 1
+        counters = server.pipeline_stats()["metrics"]["counters"]
+        assert counters["stream.late_links"] == 1
+        assert {s.span_id for s in server.trace(2)} == {1, 2}
+
+
 class TestPipelineStats:
     def test_stats_surface_every_stage(self):
         server = DeepFlowServer(shards=2, streaming=True)

@@ -136,7 +136,7 @@ def test_incremental_inserts_match_bulk_insert(spans, cut,
         incremental.span_list(0.0, float("inf"))
     if singles:
         for span in spans[cut:]:
-            incremental.insert(span)
+            incremental.insert_many((span,))
     else:
         incremental.insert_many(spans[cut:])
 
@@ -211,7 +211,7 @@ def test_sharded_components_match_unsharded(spans, shards, window, cut,
         sharded.component_ids(spans[0].span_id)
         sharded.span_list(0.0, float("inf"))
     for span in spans[cut:]:
-        sharded.insert(span)
+        sharded.insert_many((span,))
     for span in spans:
         merged = sharded.component_ids(span.span_id)
         assert merged == single.component_ids(span.span_id)

@@ -1,6 +1,6 @@
 """Hot-path discipline checker.
 
-The ingest pipeline — agent event dispatch, ``SpanStore.insert``, and
+The ingest pipeline — agent event dispatch, ``SpanStore.insert_many``, and
 ``TraceGraphIndex`` maintenance — runs once per traced message, so
 per-event waste there is a span-rate regression (the exact class of
 problem an earlier optimization pass hand-fixed: un-hoisted attribute
@@ -71,10 +71,10 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     # Ingest, and the pull read path: a trace query walks one loop per
     # local component and a range read one per shard, so a per-member
     # shard probe or a per-shard sort there is a query-rate regression.
-    "SpanStore": ("insert", "insert_many", "span_list"),
+    "SpanStore": ("insert_many", "span_list"),
     # merge_boundaries / take_component_events are the push path's
     # per-batch commit: one loop per queued first-seen key event.
-    "ShardedSpanStore": ("insert", "insert_many", "route_batches",
+    "ShardedSpanStore": ("insert_many", "route_batches",
                          "merge_boundaries", "take_component_events",
                          "component_spans", "component_ids", "span_list"),
     "TraceGraphIndex": ("link_batch",),
