@@ -1,8 +1,9 @@
 """Sharded store at scale: same components as one store, flat query delay.
 
 The Fig-15 story at fleet scale, in its two checkable halves.  The
-scatter-gather component of an N-way sharded store equals the unsharded
-component however many shards the trace straddles (the boundary links
+component of an N-way sharded store (one forest shared by the shards)
+equals the unsharded component however many shards the trace straddles
+(the boundary links
 restore exactly the cross-shard shared-key edges), and the trace query
 stays flat as the store grows — component lookup is O(result), not
 O(store); that second check is a same-run ratio of one code path at two
@@ -71,7 +72,7 @@ def test_sharded_components_match_and_queries_stay_flat(benchmark):
     assert links[1] == 0
     assert 0 < links[2] <= links[8]
 
-    # The 8-way scatter-gather component equals the unsharded component
+    # The 8-way sharded component equals the unsharded component
     # for a straddling sample.
     for start in range(0, 2000, 37):
         assert (stores[8].component_ids(start)

@@ -5,24 +5,23 @@ span, accumulating every association key of the current span set
 (systrace_id, pseudo-thread id, X-Request-ID, per-flow TCP sequence,
 third-party trace id) and re-querying the database until the set stops
 growing.  That fixed point is a connected component of the association
-graph, which the span store maintains incrementally in a union-find, so
-the assembler reads it out in one step; the iterative search itself
-lives in :mod:`repro.server.reference`, the oracle the property tests
-and Fig 15 compare against.
+graph, which the span store maintains incrementally in one union-find
+forest shared by all its shards, so the assembler reads it out with one
+``find``; the iterative search itself lives in :mod:`repro.server.
+reference`, the oracle the property tests and Fig 15 compare against.
 
 Phase 2 — parent assignment: a rule table keyed on collection location
 (client/server side), span kind, timing, and message identity.  The paper
-describes 16 rules; ours are enumerated in :data:`PARENT_RULES` with the
-correspondence documented per rule.  One deliberate deviation, recorded in
-DESIGN.md: the paper's §3.3.2 text sets the *server* span as parent of the
-matching client span, which inverts the enclosure relation of Figure 1;
-we parent the server span under the client span (the client span strictly
+describes 16 rules; ours, R1–R11, are documented on the functions that
+apply them.  One deliberate deviation, recorded in DESIGN.md: the
+paper's §3.3.2 text sets the *server* span as parent of the matching
+client span, which inverts the enclosure relation of Figure 1; we parent
+the server span under the client span (the client span strictly
 encloses it in time), matching the figure and the OSS system.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from operator import attrgetter
 from typing import Optional
 
@@ -45,8 +44,8 @@ class TraceAssembler:
 
     The *store* is the server's one :class:`repro.server.sharding.
     ShardedSpanStore` (or a bare :class:`SpanStore`, which is a shard):
-    the assembler only needs ``component_spans``, scatter-gather across
-    the shards — one by default, with no boundary owner table.
+    the assembler only needs ``component_spans`` — one ``find`` in the
+    shared forest, then each shard's rows of the component.
     """
 
     def __init__(self, store: "SpanStore",
@@ -84,19 +83,71 @@ def assign_parents(spans: list[Span], *, enable_queue_relay: bool = True,
     the very span being linked.  The spans are sorted once into
     canonical ``(start_time, span_id)`` order and every rule consumes
     it — "the earliest span that …" is the first one a rule sees — so
-    the outcome is independent of input order.  Returns the ordered
-    list: what :class:`Trace` holds, with no second sort.
+    the outcome is independent of input order: one pass over it resets
+    the parents and builds every table the rules read, and a rule with
+    no candidate in the trace is skipped.  Returns the ordered list:
+    what :class:`Trace` holds, with no second sort.
     """
-    by_id = {span.span_id: span for span in spans}
     ordered = sorted(spans, key=CANONICAL_ORDER)
+    by_id: dict[int, Span] = {}
+    #: message key → [first eBPF client, first eBPF server, network spans]
+    groups: dict[tuple, list] = {}
+    servers_by_systrace: dict[int, Span] = {}
+    servers_by_xreq: dict[tuple, Span] = {}
+    publishes: dict[tuple, Span] = {}
+    clients: list[Span] = []   # client-side eBPF spans
+    relays: list[Span] = []    # client-side queue-relay spans
+    app_spans: list[Span] = []
+    server_side = SpanSide.SERVER
+    client_side = SpanSide.CLIENT
+    network_side = SpanSide.NETWORK
+    app_kind = SpanKind.APP
     for span in ordered:
         span.parent_id = None
-    _chain_message_groups(ordered)
-    _apply_app_rules(ordered, by_id)
-    _apply_intra_component_rules(ordered, by_id,
-                                 enable_x_request_id=enable_x_request_id)
-    if enable_queue_relay:
-        _apply_queue_relay_rules(ordered, by_id)
+        by_id[span.span_id] = span
+        side = span.side
+        kind = span.kind
+        flow = span.flow_key
+        if flow is not None and span.req_tcp_seq is not None:
+            key = (flow, span.req_tcp_seq)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [None, None, []]
+            if side is network_side:
+                group[2].append(span)
+            elif kind in EBPF_KINDS:
+                if side is client_side:
+                    if group[0] is None:
+                        group[0] = span
+                elif side is server_side and group[1] is None:
+                    group[1] = span
+        if side is server_side:
+            value = span.systrace_id
+            if value is not None:
+                servers_by_systrace.setdefault(value, span)
+            value = span.x_request_id
+            if value:
+                servers_by_xreq.setdefault((span.host, span.pid, value), span)
+            if (span.message_id is not None
+                    and span.protocol in QUEUE_RELAY_PROTOCOLS):
+                publishes.setdefault(
+                    (span.protocol, span.resource, span.message_id), span)
+        elif side is client_side:
+            if kind in EBPF_KINDS:
+                clients.append(span)
+            if (span.message_id is not None
+                    and span.protocol in QUEUE_RELAY_PROTOCOLS):
+                relays.append(span)
+        if kind is app_kind:
+            app_spans.append(span)
+    _chain_message_groups(groups)
+    if app_spans:
+        _apply_app_rules(ordered, app_spans, clients, by_id)
+    _apply_intra_component_rules(clients, servers_by_systrace,
+                                 servers_by_xreq if enable_x_request_id
+                                 else None, by_id)
+    if enable_queue_relay and publishes and relays:
+        _apply_queue_relay_rules(relays, publishes, by_id)
     return ordered
 
 
@@ -123,7 +174,7 @@ def _creates_cycle(span: Span, parent: Span,
     return False
 
 
-def _chain_message_groups(ordered: list[Span]) -> None:
+def _chain_message_groups(groups: dict[tuple, list]) -> None:
     """Rules 1–4: inter-component chaining along the network path.
 
     Spans observing the *same message* on the same flow group under
@@ -134,33 +185,11 @@ def _chain_message_groups(ordered: list[Span]) -> None:
       R2  network span at path index i ← network span at index i-1
       R3  server-side eBPF span        ← last network span
       R4  server-side eBPF span        ← client-side eBPF span (no taps)
-    Members keep the canonical order of *ordered*: the first eBPF
-    client/server span seen is the earliest, smallest id.
+    Each group is ``[client, server, nets]`` as :func:`assign_parents`
+    collected it in canonical order: the first eBPF client/server span
+    (the earliest, smallest id; or None) and the network spans.
     """
-    groups: dict[tuple, list[Span]] = defaultdict(list)
-    for span in ordered:
-        if span.flow_key is not None and span.req_tcp_seq is not None:
-            groups[(span.flow_key, span.req_tcp_seq)].append(span)
-    nets: list[Span] = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue  # nothing to chain a lone observation to
-        client = server = None
-        nets.clear()
-        for span in members:
-            side = span.side
-            if side is SpanSide.NETWORK:
-                nets.append(span)
-            elif span.kind in EBPF_KINDS:
-                if side is SpanSide.CLIENT:
-                    if client is None:
-                        client = span
-                elif side is SpanSide.SERVER and server is None:
-                    server = span
-        if len(nets) > 1:
-            # Only a group that crossed several capture points sorts,
-            # those few spans; stable, so ties stay in canonical order.
-            nets.sort(key=_PATH_INDEX)  # lint: ok
+    for client, server, nets in groups.values():
         if (server is not None and client is not None
                 and server.resp_tcp_seq is not None
                 and client.resp_tcp_seq is not None
@@ -168,17 +197,22 @@ def _chain_message_groups(ordered: list[Span]) -> None:
             # Same request seq but different response seq: not the
             # same exchange; refuse to chain.
             server = None
+        if len(nets) > 1:
+            # Only a group that crossed several capture points sorts,
+            # those few spans; stable, so ties stay in canonical order.
+            nets.sort(key=_PATH_INDEX)  # lint: ok
         previous = client
         for net in nets:
+            # A span listed twice is chained once.
             if previous is not None and net.parent_id is None:
                 net.parent_id = previous.span_id
             previous = net
-        if server is not None and previous is not None \
-                and server.parent_id is None and previous is not server:
+        if server is not None and previous is not None:
             server.parent_id = previous.span_id
 
 
-def _apply_app_rules(spans: list[Span], by_id: dict[int, Span]) -> None:
+def _apply_app_rules(spans: list[Span], app_spans: list[Span],
+                     clients: list[Span], by_id: dict[int, Span]) -> None:
     """Rules 5–7: third-party (OpenTelemetry-style) span integration.
 
       R5  app span ← app span named by its explicit parent span id
@@ -187,9 +221,6 @@ def _apply_app_rules(spans: list[Span], by_id: dict[int, Span]) -> None:
       R7  client-side eBPF span ← app span on the same host+pid whose
           interval encloses it (tightest), when no explicit link exists
     """
-    app_spans = [span for span in spans if span.kind is SpanKind.APP]
-    if not app_spans:
-        return
     by_otel_id = {span.otel_span_id: span for span in app_spans
                   if span.otel_span_id}
     for span in app_spans:
@@ -210,9 +241,8 @@ def _apply_app_rules(spans: list[Span], by_id: dict[int, Span]) -> None:
         if enclosing is not None \
                 and not _creates_cycle(span, enclosing, by_id):
             span.parent_id = enclosing.span_id
-    for span in spans:
-        if (span.parent_id is not None or span.side is not SpanSide.CLIENT
-                or span.kind not in EBPF_KINDS):
+    for span in clients:
+        if span.parent_id is not None:
             continue
         enclosing = _tightest_enclosing(
             span, app_spans,
@@ -223,50 +253,41 @@ def _apply_app_rules(spans: list[Span], by_id: dict[int, Span]) -> None:
             span.parent_id = enclosing.span_id
 
 
-def _apply_intra_component_rules(spans: list[Span],
-                                 by_id: dict[int, Span], *,
-                                 enable_x_request_id: bool = True) -> None:
+def _apply_intra_component_rules(
+        clients: list[Span], servers_by_systrace: dict[int, Span],
+        servers_by_xreq: Optional[dict[tuple, Span]],
+        by_id: dict[int, Span]) -> None:
     """Rules 8–10: intra-component association.
 
-      R8  client-side eBPF span ← server-side eBPF span with the same
+      R8  client-side eBPF span ← server-side span with the same
           systrace_id (thread/pseudo-thread association, Fig 7(a))
-      R9  client-side eBPF span ← server-side eBPF span with the same
-          X-Request-ID on the same host+pid (cross-thread association)
+      R9  client-side eBPF span ← server-side span with the same
+          X-Request-ID on the same host+pid (cross-thread association);
+          *servers_by_xreq* is None when the ablation switch is off
       R10 server-side eBPF span with no inter-component parent stays a
           root (external caller)
     Of several server spans carrying one key the canonically first is
-    the parent: ``setdefault`` over the canonical order.
+    the parent: the tables are ``setdefault`` over the canonical order.
     """
-    servers_by_systrace: dict[int, Span] = {}
-    servers_by_xreq: dict[tuple, Span] = {}
-    for span in spans:
-        if span.side is not SpanSide.SERVER:
-            continue
-        if span.systrace_id is not None:
-            servers_by_systrace.setdefault(span.systrace_id, span)
-        if span.x_request_id:
-            servers_by_xreq.setdefault(
-                (span.host, span.pid, span.x_request_id), span)
-    for span in spans:
-        if (span.parent_id is not None or span.side is not SpanSide.CLIENT
-                or span.kind not in EBPF_KINDS):
+    for span in clients:
+        if span.parent_id is not None:
             continue
         parent = None
         if span.systrace_id is not None:
             parent = servers_by_systrace.get(span.systrace_id)
-        if ((parent is None or parent is span) and span.x_request_id
-                and enable_x_request_id):
+        if (parent is None and span.x_request_id
+                and servers_by_xreq is not None):
             parent = servers_by_xreq.get(
                 (span.host, span.pid, span.x_request_id))
-        if (parent is not None and parent is not span
-                and not _creates_cycle(span, parent, by_id)):
+        if parent is not None and not _creates_cycle(span, parent, by_id):
             # Cycle guard: the chain rules may already have put the
             # server span under this client span, directly or through
             # intermediate network spans.
             span.parent_id = parent.span_id
 
 
-def _apply_queue_relay_rules(spans: list[Span],
+def _apply_queue_relay_rules(relays: list[Span],
+                             publishes: dict[tuple, Span],
                              by_id: dict[int, Span]) -> None:
     """Rule 11 (beyond-paper extension): message-queue relay causality.
 
@@ -281,22 +302,16 @@ def _apply_queue_relay_rules(spans: list[Span],
            side, the producer's message arriving) with the same
            (protocol, resource, message id) and an earlier start —
            the canonically first such publish.
+
+    *relays* are the client-side spans carrying a queue message key,
+    *publishes* the server-side table of the same keys.
     """
-    publishes: dict[tuple, Span] = {}
-    for span in spans:
-        if (span.side is SpanSide.SERVER and span.message_id is not None
-                and span.protocol in QUEUE_RELAY_PROTOCOLS):
-            publishes.setdefault(
-                (span.protocol, span.resource, span.message_id), span)
-    for span in spans:
-        if (span.parent_id is not None
-                or span.side is not SpanSide.CLIENT
-                or span.message_id is None
-                or span.protocol not in QUEUE_RELAY_PROTOCOLS):
+    for span in relays:
+        if span.parent_id is not None:
             continue
         publish = publishes.get(
             (span.protocol, span.resource, span.message_id))
-        if (publish is not None and publish is not span
+        if (publish is not None
                 and publish.start_time <= span.start_time
                 and not _creates_cycle(span, publish, by_id)):
             span.parent_id = publish.span_id

@@ -72,7 +72,8 @@ class SpanStore:
         self._time_committed = 0
         #: incremental association-graph components (fast path).  Updated
         #: by the key commit — read it through :meth:`component_ids` /
-        #: :meth:`component_spans`, or call :meth:`flush` first.
+        #: :meth:`component_spans`, or call :meth:`flush` first.  The
+        #: sharded store sets one forest on all its shards.
         self.graph = TraceGraphIndex()
         #: Optional first-seen-key sink.  When armed (set to a list, as
         #: :class:`repro.server.sharding.ShardedSpanStore` does per
@@ -368,10 +369,12 @@ class SpanStore:
         """Fast path: every span in *span_id*'s trace component."""
         return self.spans_of(self.component_ids(span_id))
 
-    def spans_of(self, span_ids: Iterable[int]) -> list[Span]:
-        """The stored spans with these ids (``KeyError`` on a stranger);
-        the sharded store asks the shard owning a local component."""
-        return list(map(self._spans.__getitem__, span_ids))
+    def spans_of(self, span_ids: set[int]) -> list[Span]:
+        """The stored spans among *span_ids*, others skipped: the
+        sharded store asks every shard for its rows of one component.
+        The id-map view intersects in C, probing the smaller side."""
+        spans = self._spans
+        return list(map(spans.__getitem__, spans.keys() & span_ids))
 
     # -- span-list queries (Fig 15) -----------------------------------------
 

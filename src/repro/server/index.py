@@ -153,12 +153,6 @@ class TraceGraphIndex:
 
     # -- queries ----------------------------------------------------------
 
-    def linked_ids(self):
-        """Read-only view of every span id present in the forest (spans
-        that have shared at least one key; implicit singletons absent).
-        A dict keys view: O(1) membership, live, no copy."""
-        return self._parent.keys()
-
     def component(self, span_id: int) -> set[int]:
         """Every span id in *span_id*'s component.
 

@@ -8,6 +8,7 @@ query time (step ⑧) by :meth:`DeepFlowServer.trace`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.core.export import OtlpStreamExporter, metrics_to_otlp_json
@@ -25,7 +26,8 @@ class DeepFlowServer:
 
     The span store is one :class:`repro.server.sharding.ShardedSpanStore`
     of *shards* shards (one by default): inserts route by association-key
-    hash × time window, and ``trace()`` runs the scatter-gather merge.
+    hash × time window, and ``trace()`` reads one component out of the
+    forest the shards share.
     Tenant labels (``ingest_spans``) and cluster labels (``new_agent``)
     thread through routing and the span-list filters so one server
     instance models DeepFlow's multi-cluster, multi-tenant deployment.
@@ -207,14 +209,20 @@ class DeepFlowServer:
     def trace(self, start_span_id: int) -> Trace:
         """Assemble the trace containing *start_span_id*: its component
         of the incremental association-graph index (near-O(α) lookup),
-        parented and sorted."""
+        parented and sorted.  Self-defined labels (step ⑧) are joined
+        onto copies of the spans they label, never the stored spans."""
         trace = self.assembler.assemble(start_span_id)
         custom = self.tags.custom_tag_table()
-        if custom:  # query-time join of self-defined labels (step ⑧)
-            for span in trace.spans:
-                tags = span.tags
-                tags.update(custom.get((tags.get("vpc"), tags.get("ip")), ()))
-        return trace
+        if not custom:
+            return trace
+        joined = []
+        for span in trace.spans:
+            tags = span.tags
+            labels = custom.get((tags.get("vpc"), tags.get("ip")))
+            if labels:
+                span = replace(span, tags={**tags, **labels})
+            joined.append(span)
+        return Trace._from_ordered(joined)
 
     def correlated_metrics(self, trace: Trace,
                            names: Optional[list[str]] = None) -> dict:

@@ -1,16 +1,15 @@
-"""The server's one span store: N shards, scatter-gather assembly.
+"""The server's one span store: N shards over one component forest.
 
 DeepFlow's server tier scales ingest and query by partitioning span
 storage across nodes while Algorithm 1 still has to stitch whole traces
 across partition boundaries.  :class:`ShardedSpanStore` reproduces that
-architecture in-process: N independent :class:`repro.server.database.
-SpanStore` shards (one by default, which keeps no owner table), a
-stateless hash router, and a boundary-key layer that records association
-keys observed on more than one shard so ``trace()`` can merge per-shard
-union-find components into the global component — the exact
-cross-partition correlation problem CrossTrace (arXiv:2508.11342)
-isolates: association keys do not respect partition edges, so assembly
-must merge components across shards rather than assume locality.
+architecture in-process: N :class:`repro.server.database.SpanStore`
+shards (one by default, which keeps no owner table) partitioning span
+rows, postings and the time index; a stateless hash router; one
+union-find forest every shard links into; and a boundary-key layer
+linking keys seen on several shards into that same forest — the
+cross-partition problem CrossTrace (arXiv:2508.11342) isolates, solved
+with one merge per straddling key rather than one per span.
 
 Routing
 -------
@@ -23,35 +22,34 @@ within one window and windows can later seal into immutable runs.  A
 tenant label, when given, salts the hash so tenants spread independently.
 The router is stateless — no global span→shard map is maintained; point
 lookups probe the shards (queries are orders of magnitude rarer than
-inserts, and keeping ingest memory flat is the point of sharding).  A
-trace query probes once per *local component* it touches, whose owning
-shard reads the spans from its own map: how finely routing cuts a trace
-(≈16 local components per 38 spans, 4 shards) bounds a query's cost.
+inserts, and keeping ingest memory flat is the point of sharding).
 
 Each shard keeps its own write-optimized memtable discipline: routing a
 batch costs one hash per span, and the shard-side insert stays register
 + tail append.  All index maintenance still commits lazily per shard.
+Shards are a memory partition, not a speed-up: routing by any one key
+cuts a trace into pieces (EXPERIMENTS.md "Pull trace query"), so trace
+membership lives in the shared forest, not in the shards.
 
-Boundary keys and scatter-gather trace()
-----------------------------------------
+Boundary keys and trace()
+-------------------------
 Because routing uses one key and windowing splits even that key across
 time, spans sharing *any* association key can land on different shards.
-Each shard's key commit logs the keys it sees for the **first time**
-(one event per distinct key per shard, piggy-backed on the posting
-creation it already performs).  :meth:`ShardedSpanStore.merge_boundaries`
-walks those logs in shard order through **one owner table**, key →
-first observing (shard, span): a key met again from a second shard
-contributes one link to a small cross-shard union-find over span ids.
+Each shard's key commit links the spans that share a key *within* the
+shard into the shared forest, and logs the keys it sees for the **first
+time** (one event per distinct key per shard, piggy-backed on the
+posting creation it already performs).  :meth:`ShardedSpanStore.
+merge_boundaries` walks those logs in shard order through **one owner
+table**, key → first observing (shard, span): a key met again from a
+second shard contributes one link between the two shards' carriers.
 Each log is in commit order, the walk is in shard order and the table
 is probed by equality, so the links and their order are a function of
 the insert sequence alone — the same in every process, with no stable
-hash of a key involved.  A trace query then runs scatter-gather: fetch
-the start span's per-shard component, follow each boundary-forest
-component it touches (once) to components on other shards, and repeat
-to the fixed point.  The merged component provably equals what one
-shard holding every span returns (the boundary links restore exactly
-the cross-shard shared-key edges; the property tests in
-tests/test_trace_index_properties.py hold the two in lock step for
+hash of a key involved.  A trace query is one ``find`` in the forest
+and one C-level intersection per shard to read out the rows it holds.
+The component equals what one shard holding every span returns (the
+boundary links restore exactly the cross-shard shared-key edges;
+tests/test_trace_index_properties.py holds the two in lock step for
 shard counts up to 8).
 
 The two phases are separate methods — :meth:`seal_shard` commits one
@@ -100,7 +98,8 @@ class ShardedSpanStore:
     Drop-in for :class:`repro.server.assembler.TraceAssembler`
     (``component_spans``) and for the iterative Algorithm 1 reference
     (``get`` / ``carriers``), which fans each round's frontier keys out
-    to every shard.
+    to every shard.  Every shard's ``graph`` is the store's one
+    :attr:`graph`.
     """
 
     def __init__(self, shard_count: int = 4, *,
@@ -113,16 +112,17 @@ class ShardedSpanStore:
             raise ValueError("window must be positive")
         self.shard_count = shard_count
         self.window = window
+        #: The one union-find over span ids: every shard's key commit
+        #: and every cross-shard boundary link merge into it.
+        self.graph = TraceGraphIndex()
         self.shards: list[SpanStore] = []
         for _ in range(shard_count):
             shard = SpanStore()
+            shard.graph = self.graph
             if shard_count > 1:  # no key can straddle one shard
                 # Arm the first-seen-key log: the boundary layer consumes it.
                 shard.first_seen_keys = []
             self.shards.append(shard)
-        #: Cross-shard union-find over span ids; only spans whose key was
-        #: observed on a second shard ever enter it.
-        self.boundary = TraceGraphIndex()
         #: The boundary owner table: tagged key → packed
         #: ``(span_id << 6) | shard_index`` of the first observer.
         self._owners: dict[tuple, int] = {}
@@ -134,7 +134,7 @@ class ShardedSpanStore:
         #: actually straddles shards.
         self._m_boundary = metrics.counter(
             "router.boundary_links",
-            "cross-shard links merged into the boundary forest")
+            "cross-shard links merged into the component forest")
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
@@ -192,8 +192,8 @@ class ShardedSpanStore:
         """Route each span and register it with its shard.
 
         Ingest pays one routing hash plus the shard's register + tail
-        append per span; every index — per-shard secondary indexes,
-        per-shard union-find, time runs, and the cross-shard boundary
+        append per span; every index — per-shard secondary indexes and
+        time runs, the shared union-find, and the cross-shard boundary
         table — catches up lazily when a query (or :meth:`flush`) needs
         it.  A *tenant* that is not None is stamped into ``span.tags``
         and, if non-empty, salted into the route.
@@ -254,7 +254,7 @@ class ShardedSpanStore:
                 # Same-shard re-observation cannot happen (the shard
                 # logs a key once), so any other case is already linked.
         if links:
-            self.boundary.link_batch(links)
+            self.graph.link_batch(links)
             self._m_boundary.inc(len(links))
 
     def flush(self) -> None:
@@ -265,8 +265,8 @@ class ShardedSpanStore:
         self.merge_boundaries()
 
     def _ensure_traceable(self) -> None:
-        """Bring key indexes and the boundary forest up to date (the
-        lazy-commit step trace queries trigger)."""
+        """Bring key indexes and the forest's boundary links up to date
+        (the lazy-commit step trace queries trigger)."""
         queued = False
         for shard in self.shards:
             if shard.pending_key_count():
@@ -279,35 +279,27 @@ class ShardedSpanStore:
     # -- component-changed events (continuous pipeline) ---------------------
 
     def arm_component_events(self) -> None:
-        """Arm the link-event sinks: every per-shard union-find *and*
-        the cross-shard boundary forest.  The continuous assembler then
-        sees intra-shard merges and cross-shard merges through one
+        """Arm the forest's link-event sink: the continuous assembler
+        then sees intra-shard merges and cross-shard merges through one
         drain.  Idempotent."""
-        for shard in self.shards:
-            shard.arm_component_events()
-        if self.boundary.events is None:
-            self.boundary.events = []
+        if self.graph.events is None:
+            self.graph.events = []
 
     def take_component_events(self) -> list[tuple[int, int]]:
         """Commit pending work on every shard, merge boundaries, and
-        drain the accumulated link events from all forests.
+        drain the forest's accumulated link events.
 
-        Per-shard events come first (their spans must exist before a
-        cross-shard link can cite them), then boundary links — each as
-        "span *a* joined span *b*'s component".
+        Shard links come first, in shard order (their spans must exist
+        before a cross-shard link can cite them), then boundary links —
+        each as "span *a* joined span *b*'s component".
         """
         self._ensure_traceable()
-        out: list[tuple[int, int]] = []
-        for shard in self.shards:
-            events = shard.graph.events
-            if events:
-                out.extend(events)
-                shard.graph.events = []
-        events = self.boundary.events
-        if events:
-            out.extend(events)
-            self.boundary.events = []
-        return out
+        graph = self.graph
+        events = graph.events
+        if not events:
+            return []
+        graph.events = []
+        return events
 
     # -- point lookups -----------------------------------------------------
 
@@ -331,49 +323,28 @@ class ShardedSpanStore:
             out.extend(shard.all_spans())
         return out
 
-    # -- Algorithm 1 support (scatter-gather) ------------------------------
+    # -- Algorithm 1 support ------------------------------------------------
 
-    def component_spans(self, span_id: int) -> list[Span]:
-        """Every span in *span_id*'s whole trace component, merged
-        across shards, each read from the shard that owns it.
-
-        Scatter-gather fixed point: take the owning shard's local
-        union-find component, follow each boundary-forest component a
-        member belongs to onto the other shards, until no new span
-        appears.  One shard probe per local component, one visit per
-        boundary component: independent of store size (flat Fig-15 curve).
-        """
+    def component_ids(self, span_id: int) -> set[int]:
+        """*span_id*'s whole trace component across every shard: one
+        ``find`` in the shared forest once pending keys are committed
+        and boundaries merged.  The live member set — read-only, like
+        :meth:`SpanStore.component_ids`."""
         if self.shard_of(span_id) is None:
             raise KeyError(f"unknown span id {span_id}")
         self._ensure_traceable()
-        shards = self.shards
-        shard_of = self.shard_of
-        linked = self.boundary.linked_ids()
-        boundary_component = self.boundary.component
-        spans: list[Span] = []
-        found: set[int] = set()
-        crossed: set[int] = set()  # boundary components already followed
-        stack = [span_id]
-        while stack:
-            current = stack.pop()
-            if current in found:
-                continue
-            index = shard_of(current)
-            if index is None:  # defensive: links only cite stored ids
-                continue
-            local = shards[index].component_ids(current)
-            found |= local
-            spans += shards[index].spans_of(local)
-            for member in local:
-                if member in linked and member not in crossed:
-                    others = boundary_component(member)
-                    crossed |= others
-                    stack.extend(others)
-        return spans
+        return self.graph.component(span_id)
 
-    def component_ids(self, span_id: int) -> set[int]:
-        """The id-only view of :meth:`component_spans`' walk."""
-        return {span.span_id for span in self.component_spans(span_id)}
+    def component_spans(self, span_id: int) -> list[Span]:
+        """Every span in *span_id*'s trace component, each shard reading
+        out the members it holds: one intersection per shard, whatever
+        the number of pieces routing cut the trace into (flat Fig-15
+        curve)."""
+        ids = self.component_ids(span_id)
+        spans: list[Span] = []
+        for shard in self.shards:
+            spans += shard.spans_of(ids)
+        return spans
 
     def carriers(self, tagged_keys: Iterable[tuple]) -> set[int]:
         """Scatter :meth:`SpanStore.carriers` to every shard — each
@@ -422,5 +393,4 @@ class ShardedSpanStore:
                           if total else 1.0),
             "boundary_keys": len(self._owners),
             "boundary_links": self._m_boundary.value,
-            "boundary_spans": len(self.boundary),
         }

@@ -137,7 +137,7 @@ class TestCrossClusterTracing:
 
 class TestShardedMulticluster:
     """The same two-cluster deployment against a sharded server: the
-    scatter-gather trace must equal the unsharded one span for span,
+    sharded trace must equal the unsharded one span for span,
     and cluster labels must thread from agents into the query filters.
     """
 
@@ -151,7 +151,7 @@ class TestShardedMulticluster:
         plain_ids = sorted(s.span_id for s in plain.trace(start))
         sharded_ids = sorted(s.span_id for s in sharded.trace(start))
         assert plain_ids == sharded_ids
-        assert sharded.store.shard_stats()["boundary_spans"] >= 0
+        assert sharded.store.shard_stats()["boundary_links"] >= 0
 
     def test_sharded_trace_spans_both_clusters(self):
         runner = TestCrossClusterTracing()

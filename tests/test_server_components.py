@@ -430,17 +430,39 @@ class TestQueryTimeJoin:
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_custom_tag_registered_after_ingest_is_joined(self, shards):
+        """The label lands on the returned trace; the stored spans keep
+        the tags ingest gave them."""
         server, (one, two) = self._server(shards)
+        stored = [dict(one.tags), dict(two.tags)]
         server.register_resource_tags("v", "10.0.0.1",
                                       {"version": "v2", "team": "core"})
         trace = server.trace(2)
         assert [s.span_id for s in trace] == [1, 2]
-        assert one.tags == {"vpc": "v", "ip": "10.0.0.1", "pod": "p1",
-                            "version": "v2", "team": "core"}
-        assert two.tags == {"vpc": "v", "ip": "10.0.0.2"}
-        one.tags["version"] = "mutated"
+        assert trace.span(1).tags == {"vpc": "v", "ip": "10.0.0.1",
+                                      "pod": "p1", "version": "v2",
+                                      "team": "core"}
+        assert trace.span(2).tags == {"vpc": "v", "ip": "10.0.0.2"}
+        assert trace.span(2) is two  # nothing to join: not copied
+        assert trace.span(1).parent_id == one.parent_id
+        assert [one.tags, two.tags] == stored
+        trace.span(1).tags["version"] = "mutated"
         assert server.tags.custom_tags("v", "10.0.0.1") == {
             "version": "v2", "team": "core"}
+        assert server.trace(1).span(1).tags["version"] == "v2"
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_version_bump_reaches_trace_and_span_list_alike(self, shards):
+        """A label re-registered after a query: ``trace()`` joins the new
+        value and ``span_list`` never carries the old one."""
+        server, (one, _two) = self._server(shards)
+        server.register_resource_tags("v", "10.0.0.1", {"version": "1.0"})
+        assert server.trace(1).span(1).tags["version"] == "1.0"
+        server.register_resource_tags("v", "10.0.0.1", {"version": "2.0"})
+        assert server.trace(1).span(1).tags["version"] == "2.0"
+        listed = server.span_list(0.0, 10.0)
+        assert [s.span_id for s in listed] == [1, 2]
+        assert all("version" not in s.tags for s in listed)
+        assert "version" not in one.tags
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_no_custom_tag_means_no_join_and_no_lookup(self, shards,

@@ -1,6 +1,6 @@
 """Unit tests for the sharded span store: routing, tenancy, boundaries.
 
-The equivalence of scatter-gather ``trace()`` with a single unsharded
+The equivalence of the shared-forest ``trace()`` with a single unsharded
 store is property-tested in test_trace_index_properties.py; this file
 pins the mechanics — deterministic routing, the seal/merge phase APIs,
 tenant label threading, and the observability counters.
@@ -357,7 +357,8 @@ class TestBoundaryPhases:
         assert stats["shards"] == 4
         assert sum(stats["shard_sizes"]) == 60
         assert stats["imbalance"] >= 1.0
-        assert stats["boundary_spans"] >= stats["boundary_links"]
+        assert set(stats) == {"shards", "spans", "shard_sizes", "imbalance",
+                              "boundary_keys", "boundary_links"}
 
 
 class TestTenancy:
@@ -410,6 +411,16 @@ class TestTenancy:
 
 
 class TestOneStore:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_every_shard_links_into_the_one_forest(self, shards):
+        store = ShardedSpanStore(shards, window=0.5)
+        assert all(shard.graph is store.graph for shard in store.shards)
+        store.insert_many([make_span(i, xreq="x", start=0.3 * i)
+                           for i in range(12)])
+        store.flush()
+        assert len(store.graph) == 12
+        assert store.component_ids(0) is store.graph.component(11)
+
     def test_default_server_runs_one_shard_and_no_owner_table(self):
         server = DeepFlowServer()
         assert isinstance(server.store, ShardedSpanStore)

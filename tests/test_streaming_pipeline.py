@@ -209,6 +209,57 @@ class TestShardedStreamingMatchesPullPath:
                     for span in record.trace} == pulled
 
 
+@pytest.fixture(scope="module")
+def chain_tape():
+    """A recorded ``chain_fanout`` span tape of a few requests."""
+    from benchmarks.e2e.workloads import SpanTape
+    return SpanTape(1, 4, "/pull-push")
+
+
+def _parents(spans):
+    return {span.span_id: span.parent_id for span in spans}
+
+
+class TestPullEqualsPushOnAChainTape:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_every_pull_trace_has_the_push_parents(self, chain_tape,
+                                                   shards):
+        """From any of its spans, ``trace()`` returns the push path's
+        finished trace: same spans, same ``span_id → parent_id`` map."""
+        push, _exporter = chain_tape.replay_push()
+        finished = push.streaming.finished
+        assert len(finished) == chain_tape.requests
+        pull = DeepFlowServer(shards=shards)
+        pull.tags = chain_tape.tags
+        for batch, now in chain_tape.copies():
+            pull.ingest_spans(batch, now=now)
+        for record in finished:
+            expected = _parents(record.trace)
+            assert any(expected.values())
+            for span_id in expected:
+                assert _parents(pull.trace(span_id)) == expected
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_pull_before_retirement_keeps_labels_out_of_export(self,
+                                                               shards):
+        """A ``trace()`` while the trace is live must not leak query-time
+        labels into what the push path later exports."""
+        server = DeepFlowServer(shards=shards, streaming=True)
+        server.register_resource_tags("v", "10.0.0.1", {"version": "1.0"})
+        spans = [_span(i, 0.01 * i, 0.3, systrace=4) for i in range(1, 5)]
+        for span in spans:
+            span.tags = {"vpc": "v", "ip": "10.0.0.1"}
+        server.ingest_spans(spans, now=0.3)
+        pulled = server.trace(1)
+        assert all(s.tags["version"] == "1.0" for s in pulled)
+        server.streaming.drain(1.0)
+        payloads = server.streaming.exporter.trace_payloads
+        assert len(payloads) == 1
+        assert '"deepflow.tag.vpc"' in payloads[0]
+        assert '"deepflow.tag.version"' not in payloads[0]
+        assert all("version" not in s.tags for s in spans)
+
+
 class TestWatchdogBudgets:
     def _server_with_watchdog(self, budget=0.01):
         server = DeepFlowServer(streaming=True)

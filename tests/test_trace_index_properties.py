@@ -181,7 +181,7 @@ def test_assemble_span_set_stable_under_ablations(spans, queue_relay,
        query_between=st.booleans())
 def test_sharded_components_match_unsharded(spans, shards, window, cut,
                                             tenant, sealed, query_between):
-    """Scatter-gather `trace()` over N shards == one unsharded store ==
+    """Sharded `trace()` over N shards == one unsharded store ==
     the BFS oracle, for every start span.
 
     The small key domains make cross-shard keys the common case, and a
@@ -230,7 +230,7 @@ def test_sharded_components_match_unsharded(spans, shards, window, cut,
 @settings(max_examples=40, deadline=None)
 @given(spans=span_lists(), shards=st.integers(min_value=2, max_value=8))
 def test_sharded_fast_path_matches_iterative_reference(spans, shards):
-    """Over a sharded store, the scatter-gather union-find read-out and
+    """Over a sharded store, the shared-forest union-find read-out and
     the iterative Algorithm 1 reference (which fans each round's
     frontier keys out to every shard) stay equivalent."""
     sharded = ShardedSpanStore(shards, window=1.0)

@@ -1,6 +1,6 @@
 """Shared-state confinement checker.
 
-The ROADMAP's sharded scatter-gather store is only possible if every
+The ROADMAP's sharded store is only possible if every
 store mutation flows through :class:`SpanStore`'s public API — a single
 ``store._tail.append(...)`` from the agent or an analysis script pins
 the in-memory representation forever.  This checker makes the

@@ -68,12 +68,14 @@ CHECKER_NAME = "hot-path"
 
 #: class name → method-name predicates seeding the hot closure.
 HOT_SEEDS: dict[str, tuple[str, ...]] = {
-    # Ingest, and the pull read path: a trace query walks one loop per
-    # local component and a range read one per shard, so a per-member
+    # Ingest, and the pull read path: a trace query is one forest find
+    # and one loop over the shards, each intersecting the component with
+    # its rows, and a range read one loop per shard, so a per-member
     # shard probe or a per-shard sort there is a query-rate regression.
     "SpanStore": ("insert_many", "span_list"),
     # merge_boundaries / take_component_events are the push path's
-    # per-batch commit: one loop per queued first-seen key event.
+    # per-batch commit: one loop per queued first-seen key event, then
+    # one drain of the shared forest's event list.
     "ShardedSpanStore": ("insert_many", "route_batches",
                          "merge_boundaries", "take_component_events",
                          "component_spans", "component_ids", "span_list"),
@@ -95,7 +97,8 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     "ContinuousAssembler": ("on_spans",),
     # Enrichment runs once per ingested span: one memo lookup and a
     # dict.update, where it used to rebuild the decoded tag dict.
-    # trace() is the query entry: its per-span join must not copy.
+    # trace() is the query entry: with no self-defined label registered
+    # it copies nothing, and with one it copies only the labelled spans.
     "DeepFlowServer": ("_enrich", "trace"),
 }
 
