@@ -145,7 +145,7 @@ class IntrusiveTracer:
         span.tags["tracer"] = self.name
         self.spans.append(span)
         if self.export_server is not None:
-            self.export_server.ingest_otel_span(span)
+            self.export_server.ingest_otel_span(span, now=self.sim.now)
         return span
 
     # -- analysis helpers ----------------------------------------------------

@@ -1,7 +1,7 @@
 """Pipeline self-metrics: counters, gauges, and histograms on sim time.
 
 The pipeline finally observes itself: every stage of the span path —
-agent dispatch, shard routing, server ingest, continuous assembly,
+agent dispatch, server ingest, store retention, continuous assembly,
 export — increments instruments registered here, and the registry
 renders both a plain snapshot (``DeepFlowServer.pipeline_stats()``) and
 the OTLP-shaped metrics form (:func:`repro.core.export.

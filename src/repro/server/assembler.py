@@ -6,9 +6,9 @@ span, accumulating every association key of the current span set
 third-party trace id) and re-querying the database until the set stops
 growing.  That fixed point is a connected component of the association
 graph, which the span store maintains incrementally in one union-find
-forest shared by all its shards, so the assembler reads it out with one
-``find``; the iterative search itself lives in :mod:`repro.server.
-reference`, the oracle the property tests and Fig 15 compare against.
+forest, so the assembler reads it out with one ``find``; the iterative
+search itself lives in :mod:`repro.server.reference`, the oracle the
+property tests and Fig 15 compare against.
 
 Phase 2 — parent assignment: a rule table keyed on collection location
 (client/server side), span kind, timing, and message identity.  The paper
@@ -43,9 +43,9 @@ class TraceAssembler:
     """Assembles traces from the span store on demand.
 
     The *store* is the server's one :class:`repro.server.sharding.
-    ShardedSpanStore` (or a bare :class:`SpanStore`, which is a shard):
-    the assembler only needs ``component_spans`` — one ``find`` in the
-    shared forest, then each shard's rows of the component.
+    ShardedSpanStore` (or a bare :class:`SpanStore`): the assembler only
+    needs ``component_spans`` — one ``find`` in the forest, then the
+    component's rows out of the id map.
     """
 
     def __init__(self, store: "SpanStore",

@@ -1,28 +1,33 @@
-"""One shard of the span store, with association-key indexes.
+"""The span store: one id map, one posting map, one forest, time segments.
 
-The server's one store is :class:`repro.server.sharding.ShardedSpanStore`
-(one shard by default, with no owner table), which routes and stamps
-tenant labels; filtering span lists by tenant is the server's job.
+The server's store is :class:`repro.server.sharding.ShardedSpanStore`,
+this class with a retention depth; filtering span lists by tenant is the
+server's job.
 
 Every association key of Algorithm 1 (systrace_id, pseudo-thread,
 X-Request-ID, per-flow TCP sequence, third-party trace id, queue message
-key) has a per-axis secondary index, and the same keys feed an
-incremental union-find (:class:`repro.server.index.TraceGraphIndex`), so
-trace membership is answered without iterating at all; the paper's
-iterative search (:mod:`repro.server.reference`) reads the postings
-through :meth:`SpanStore.carriers`.  A time index supports span-list
-queries over a range (the Fig 15 workload); it is kept as a sorted main
-run plus a small unsorted tail merged lazily on first query, so inserts
-never pay the O(n) ``bisect.insort`` shift.
+key) has a per-axis posting map, and the same keys feed an incremental
+union-find (:class:`repro.server.index.TraceGraphIndex`), so trace
+membership is answered without iterating at all; the paper's iterative
+search (:mod:`repro.server.reference`) reads the postings through
+:meth:`SpanStore.carriers`.
+
+Span lists (the Fig 15 workload) read **time segments**, the way
+DeepFlow's ClickHouse tables are partitioned by time: a span's segment
+is ``start_time // window``, and each segment keeps its spans as one
+sorted ``(start_time, span_id, span)`` run.  Segment order is time
+order, so a range read concatenates the slices of the segments it
+overlaps — no merge.  A segment is also the retention unit: once the
+newest span's segment is more than the retention depth past it, the
+segment is dropped whole (:meth:`SpanStore._expire`).
 
 Ingest is the hot path — every span the fleet of agents ships lands in
 :meth:`SpanStore.insert_many` — so the store is write-optimized the way
 an LSM memtable is: an insert only registers the span (id map, for
-duplicate rejection and ``get``) and appends it to an unindexed *tail*.
-All index maintenance — per-axis secondary indexes, the union-find, the
-sorted time run — happens in commit passes that each query triggers for
+duplicate detection and ``get``) and appends it to an unindexed *tail*.
+All index maintenance — posting maps, the union-find, the segments'
+time runs — happens in commit passes that each query triggers for
 exactly the tail it needs, one fused pass per batch of inserts.  The
-deferred work is not avoided, just coalesced where it is cheapest: the
 commit loop uses raw identifier keys (an int systrace id hashes in a
 fraction of the time a tagged tuple does), inlines the axis checks from
 :func:`repro.server.index.association_keys` (the property test holds the
@@ -35,35 +40,55 @@ price ingest, index commit, and queries separately.
 from __future__ import annotations
 
 import bisect
+import math
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
+from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span
-from repro.server.index import QUEUE_RELAY_PROTOCOLS, TraceGraphIndex
+from repro.server.index import (QUEUE_RELAY_PROTOCOLS, TraceGraphIndex,
+                                association_keys)
 
-__all__ = ["QUEUE_RELAY_PROTOCOLS", "SpanStore"]
+__all__ = ["DEFAULT_WINDOW", "QUEUE_RELAY_PROTOCOLS", "SpanStore"]
+
+#: Default time-segment width, seconds: the agent's default session slot.
+DEFAULT_WINDOW = 60.0
+
+_SPAN = itemgetter(2)
 
 
 class SpanStore:
-    """In-memory indexed span storage with an incremental trace index."""
+    """In-memory indexed span storage with an incremental trace index.
 
-    def __init__(self) -> None:
+    Keeps every span it accepts; :class:`repro.server.sharding.
+    ShardedSpanStore` is the same store with a retention depth.
+    """
+
+    def __init__(self, metrics: Optional[PipelineMetrics] = None) -> None:
         self._spans: dict[int, Span] = {}
-        # Per-axis secondary indexes, raw identifier → posting.  Raw
-        # keys (int/str/tuple) hash faster than tagged tuples; the tags
-        # are only needed where axes meet (:meth:`carriers`).  A posting
-        # starts as a bare span id and is promoted to a set on
-        # its first collision — most keys (e.g. per-flow TCP sequences)
-        # are carried by exactly one span, and skipping the singleton
-        # set allocation is a measurable share of the ingest budget.
+        # Per-axis posting maps, raw identifier → posting.  Raw keys
+        # (int/str/tuple) hash faster than tagged tuples; the tags are
+        # only needed where axes meet (:meth:`carriers`).  A posting
+        # starts as a bare span id and is promoted to a set on its
+        # first collision — most keys (e.g. per-flow TCP sequences) are
+        # carried by exactly one span, and skipping the singleton set
+        # allocation is a measurable share of the ingest budget.
         self._by_sys: dict[int, object] = {}
         self._by_pt: dict[tuple, object] = {}
         self._by_xr: dict[str, object] = {}
         self._by_fs: dict[tuple, object] = {}
         self._by_ot: dict[str, object] = {}
         self._by_mq: dict[tuple, object] = {}
-        #: sorted main run of (start_time, span_id, span), extended from
-        #: the tail by the time commit; ids are unique, spans not compared.
-        self._time_index: list[tuple[float, int, Span]] = []
+        #: segment key (``start_time // window``) → that window's sorted
+        #: run of ``(start_time, span_id, span)``, in key order.  Ids are
+        #: unique store-wide, so spans are never compared.
+        self._segments: dict[float, list[tuple[float, int, Span]]] = {}
+        self.window = DEFAULT_WINDOW
+        #: Segments kept behind the newest one; a plain store keeps all.
+        self._retention = math.inf
+        #: Newest and oldest segment keys accepted so far.
+        self._newest = -math.inf
+        self._oldest = math.inf
         #: spans inserted but not yet indexed.  Two cursors track how far
         #: each commit pass has consumed it; once both passes catch up,
         #: the tail is emptied.
@@ -72,52 +97,87 @@ class SpanStore:
         self._time_committed = 0
         #: incremental association-graph components (fast path).  Updated
         #: by the key commit — read it through :meth:`component_ids` /
-        #: :meth:`component_spans`, or call :meth:`flush` first.  The
-        #: sharded store sets one forest on all its shards.
+        #: :meth:`component_spans`, or call :meth:`flush` first.
         self.graph = TraceGraphIndex()
-        #: Optional first-seen-key sink.  When armed (set to a list, as
-        #: :class:`repro.server.sharding.ShardedSpanStore` does per
-        #: shard), the key commit appends one ``(tag, value, span_id)``
-        #: event per *distinct* key the first time this store indexes it
-        #: — piggy-backing boundary-key detection on the posting
-        #: creation the commit already performs.  None (the default)
-        #: costs the commit loop one predicate check per key.
-        self.first_seen_keys: Optional[list[tuple]] = None
+        if metrics is None:
+            metrics = PipelineMetrics()
+        self._m_duplicates = metrics.counter(
+            "store.duplicate_spans", "spans skipped: id already stored")
+        self._m_late = metrics.counter(
+            "store.late_spans",
+            "spans skipped: older than the retention horizon on arrival")
+        self._m_segments_dropped = metrics.counter(
+            "store.segments_dropped", "time segments dropped by retention")
+        self._m_spans_dropped = metrics.counter(
+            "store.spans_dropped", "spans dropped with their segment")
 
     def __len__(self) -> int:
         return len(self._spans)
 
     # -- ingest ------------------------------------------------------------
 
-    def insert_many(self, spans: Iterable[Span]) -> None:
+    def insert_many(self, spans: Iterable[Span],
+                    tenant: Optional[str] = None,
+                    now: Optional[float] = None) -> Iterable[Span]:
         """Batch ingest: register each span and append it to the tail.
 
-        This is everything ingest pays — duplicate rejection, the id
-        map, one list append.  Secondary indexes, the union-find, and
-        the time run catch up lazily (:meth:`_commit_keys` /
-        :meth:`_commit_time_index`) the first time a query needs them,
+        This is everything ingest pays — the duplicate check, the
+        segment check, the id map, one list append.  Posting maps, the
+        union-find and the time runs catch up lazily (:meth:`_commit_keys`
+        / :meth:`_commit_time_index`) the first time a query needs them,
         in one fused pass over however many batches arrived since.
-        All or nothing: a duplicate id retracts this call's spans and
-        raises ``ValueError``.
+
+        A span whose id is already stored (an at-least-once re-ship) or
+        whose segment is already past retention is skipped and counted;
+        the rest are stored.  A *tenant* that is not None is stamped into
+        each stored span's ``tags``.  Returns the stored spans: *spans*
+        itself when none was skipped or dropped.
+
+        Retention follows the newest segment stored, but a span that
+        starts in a window after the ingest clock *now* is stored
+        without advancing it: one bogus future timestamp cannot expire
+        the store.  Without *now*, every span may advance it.
         """
         spans_map = self._spans
         tail = self._tail
         mark = len(tail)
         tail_append = tail.append
+        window = self.window
+        retention = self._retention
+        newest = self._newest
+        oldest = self._oldest
+        floor = newest - retention
+        clock = math.inf if now is None else now // window
+        duplicates = late = 0
         for span in spans:
             span_id = span.span_id
             if span_id in spans_map:
-                self.retract(len(tail) - mark)
-                raise ValueError(f"duplicate span id {span_id}")
+                duplicates += 1
+                continue
+            segment = span.start_time // window
+            if segment != newest:
+                if segment > newest:
+                    if segment <= clock:
+                        newest = segment
+                        floor = segment - retention
+                elif segment < floor:
+                    late += 1
+                    continue
+                if segment < oldest:
+                    oldest = segment
+            if tenant is not None:
+                span.tags.setdefault("tenant", tenant)
             spans_map[span_id] = span
             tail_append(span)
-
-    def retract(self, count: int) -> None:
-        """Unregister the last *count* spans, not yet committed."""
-        tail = self._tail
-        for span in tail[len(tail) - count:]:
-            del self._spans[span.span_id]
-        del tail[len(tail) - count:]
+        self._newest = newest
+        self._oldest = oldest
+        if duplicates or late:
+            self._m_duplicates.inc(duplicates)
+            self._m_late.inc(late)
+            spans = tail[mark:]
+        if oldest < floor:
+            spans = self._expire(floor, tail[mark:])
+        return spans
 
     # -- index commits -----------------------------------------------------
 
@@ -143,7 +203,6 @@ class SpanStore:
         by_mq = self._by_mq
         links: list[tuple[int, int]] = []
         links_append = links.append
-        log = self.first_seen_keys
         for span in tail[start:]:
             span_id = span.span_id
             value = span.systrace_id
@@ -151,8 +210,6 @@ class SpanStore:
                 ids = by_sys.get(value)
                 if ids is None:
                     by_sys[value] = span_id
-                    if log is not None:
-                        log.append(("sys", value, span_id))
                 elif ids.__class__ is int:
                     links_append((span_id, ids))
                     by_sys[value] = {ids, span_id}
@@ -164,8 +221,6 @@ class SpanStore:
                 ids = by_pt.get(value)
                 if ids is None:
                     by_pt[value] = span_id
-                    if log is not None:
-                        log.append(("pt", value, span_id))
                 elif ids.__class__ is int:
                     links_append((span_id, ids))
                     by_pt[value] = {ids, span_id}
@@ -177,8 +232,6 @@ class SpanStore:
                 ids = by_xr.get(value)
                 if ids is None:
                     by_xr[value] = span_id
-                    if log is not None:
-                        log.append(("xr", value, span_id))
                 elif ids.__class__ is int:
                     links_append((span_id, ids))
                     by_xr[value] = {ids, span_id}
@@ -193,8 +246,6 @@ class SpanStore:
                     ids = by_fs.get(value)
                     if ids is None:
                         by_fs[value] = span_id
-                        if log is not None:
-                            log.append(("fs", value, span_id))
                     elif ids.__class__ is int:
                         links_append((span_id, ids))
                         by_fs[value] = {ids, span_id}
@@ -207,8 +258,6 @@ class SpanStore:
                     ids = by_fs.get(value)
                     if ids is None:
                         by_fs[value] = span_id
-                        if log is not None:
-                            log.append(("fs", value, span_id))
                     elif ids.__class__ is int:
                         links_append((span_id, ids))
                         by_fs[value] = {ids, span_id}
@@ -220,8 +269,6 @@ class SpanStore:
                 ids = by_ot.get(value)
                 if ids is None:
                     by_ot[value] = span_id
-                    if log is not None:
-                        log.append(("ot", value, span_id))
                 elif ids.__class__ is int:
                     links_append((span_id, ids))
                     by_ot[value] = {ids, span_id}
@@ -234,8 +281,6 @@ class SpanStore:
                 ids = by_mq.get(value)
                 if ids is None:
                     by_mq[value] = span_id
-                    if log is not None:
-                        log.append(("mq", value, span_id))
                 elif ids.__class__ is int:
                     links_append((span_id, ids))
                     by_mq[value] = {ids, span_id}
@@ -248,13 +293,12 @@ class SpanStore:
         self._shrink_tail()
 
     def _commit_time_index(self) -> None:
-        """Merge the tail into the sorted time run.
+        """Merge the tail into the segments' sorted time runs.
 
         Sort entries are only built here, so ingest pays a plain list
-        append per span.  ``list.sort`` is adaptive: when batches arrive
-        out of order, appending the sorted new entries leaves two sorted
-        runs, which Timsort merges in O(n) comparisons — one merge per
-        commit, instead of one O(n) shift per span.
+        append per span.  The sorted entries are cut into one slice per
+        segment they cover — usually one — and each slice is appended to
+        its segment's run (:meth:`_extend_run`).
         """
         tail = self._tail
         start = self._time_committed
@@ -263,13 +307,40 @@ class SpanStore:
         entries = [(span.start_time, span.span_id, span)
                    for span in tail[start:]]
         entries.sort()
-        main = self._time_index
-        in_order = not main or main[-1] <= entries[0]
-        main.extend(entries)
-        if not in_order:
-            main.sort()
         self._time_committed = len(tail)
         self._shrink_tail()
+        window = self.window
+        count = len(entries)
+        last = entries[-1][0] // window
+        lo = 0
+        while lo < count:
+            key = entries[lo][0] // window
+            if key == last:
+                hi = count
+            else:
+                hi = bisect.bisect_left(
+                    entries, key + 1, lo, count,
+                    key=lambda entry: entry[0] // window)
+            self._extend_run(key, entries[lo:hi] if lo or hi < count
+                             else entries)
+            lo = hi
+
+    def _extend_run(self, key: float, entries: list[tuple]) -> None:
+        """Append sorted *entries* to segment *key*'s run.  ``list.sort``
+        is adaptive: an out-of-order slice leaves two sorted runs, which
+        Timsort merges in O(n) comparisons."""
+        segments = self._segments
+        run = segments.get(key)
+        if run is not None:
+            in_order = run[-1] <= entries[0]
+            run.extend(entries)
+            if not in_order:
+                run.sort()
+            return
+        out_of_order = bool(segments) and key < next(reversed(segments))
+        segments[key] = entries
+        if out_of_order:  # a late window opened: restore key order
+            self._segments = dict(sorted(segments.items()))
 
     def _shrink_tail(self) -> None:
         """Drop the tail once every commit pass has consumed it."""
@@ -290,9 +361,59 @@ class SpanStore:
 
     def commit_keys(self) -> None:
         """Force only the key-index commit (axes + union-find), leaving
-        the time run deferred — the trace-path subset of :meth:`flush`,
-        used by the sharded store's seal phase."""
+        the time runs deferred — the trace-path subset of :meth:`flush`."""
         self._commit_keys()
+
+    # -- retention -----------------------------------------------------------
+
+    def _expire(self, floor: float, batch: list[Span]) -> list[Span]:
+        """Drop every segment whose key is below *floor*, whole: its
+        rows, its posting entries and its time run.  The union-find has
+        no delete, so a fresh forest is then built from the survivors'
+        postings, each shared posting linked to its first carrier; the
+        event sink moves over afterwards, so a drop emits no component
+        events.  Runs at most once per window, when the newest segment
+        advances.  Returns the spans of *batch*, the one being stored,
+        that are still stored: a batch that crosses the horizon can drop
+        its own first spans."""
+        self._commit_keys()
+        self._commit_time_index()
+        segments = self._segments
+        spans_map = self._spans
+        axes = self._axes()
+        expired = [key for key in segments if key < floor]
+        dropped = 0
+        for key in expired:
+            run = segments.pop(key)
+            dropped += len(run)
+            for _start, span_id, span in run:
+                del spans_map[span_id]
+                for tag, value in association_keys(span):
+                    postings = axes[tag]
+                    ids = postings[value]
+                    if ids.__class__ is int:
+                        del postings[value]
+                    else:
+                        ids.discard(span_id)
+                        if len(ids) == 1:
+                            postings[value] = ids.pop()
+        self._oldest = min(segments, default=math.inf)
+        links: list[tuple[int, int]] = []
+        links_append = links.append
+        for postings in axes.values():
+            for ids in postings.values():
+                if ids.__class__ is not int:
+                    carriers = iter(ids)
+                    first = next(carriers)
+                    for span_id in carriers:
+                        links_append((span_id, first))
+        graph = TraceGraphIndex()
+        graph.link_batch(links)
+        graph.events = self.graph.events
+        self.graph = graph
+        self._m_segments_dropped.inc(len(expired))
+        self._m_spans_dropped.inc(dropped)
+        return [span for span in batch if span.span_id in spans_map]
 
     # -- component-changed events (continuous pipeline) ---------------------
 
@@ -315,10 +436,11 @@ class SpanStore:
         Requires :meth:`arm_component_events` first.
         """
         self._commit_keys()
-        events = self.graph.events
+        graph = self.graph
+        events = graph.events
         if not events:
             return []
-        self.graph.events = []
+        graph.events = []
         return events
 
     def pending_key_count(self) -> int:
@@ -335,6 +457,11 @@ class SpanStore:
 
     # -- Algorithm 1 support -------------------------------------------------
 
+    def _axes(self) -> dict[str, dict]:
+        """Tag → posting map, the tags of :func:`association_keys`."""
+        return {"sys": self._by_sys, "pt": self._by_pt, "xr": self._by_xr,
+                "fs": self._by_fs, "ot": self._by_ot, "mq": self._by_mq}
+
     def carriers(self, tagged_keys: Iterable[tuple]) -> set[int]:
         """Ids of the spans carrying any of *tagged_keys* —
         ``(tag, value)`` pairs as :func:`repro.server.index.
@@ -343,8 +470,7 @@ class SpanStore:
         reference search (:mod:`repro.server.reference`) asks each round.
         """
         self._commit_keys()
-        axes = {"sys": self._by_sys, "pt": self._by_pt, "xr": self._by_xr,
-                "fs": self._by_fs, "ot": self._by_ot, "mq": self._by_mq}
+        axes = self._axes()
         result: set[int] = set()
         for tag, value in tagged_keys:
             ids = axes[tag].get(value)
@@ -370,27 +496,30 @@ class SpanStore:
         return self.spans_of(self.component_ids(span_id))
 
     def spans_of(self, span_ids: set[int]) -> list[Span]:
-        """The stored spans among *span_ids*, others skipped: the
-        sharded store asks every shard for its rows of one component.
-        The id-map view intersects in C, probing the smaller side."""
+        """The stored spans among *span_ids*, others skipped.  The
+        id-map view intersects in C, probing the smaller side."""
         spans = self._spans
         return list(map(spans.__getitem__, spans.keys() & span_ids))
 
     # -- span-list queries (Fig 15) -----------------------------------------
 
-    def time_range(self, start: float, end: float) -> list[tuple]:
-        """The time run's sorted ``(start_time, span_id, span)``
-        entries with start_time in [start, end), as one slice."""
-        self._commit_time_index()
-        index = self._time_index
-        return index[bisect.bisect_left(index, (start, -1)):
-                     bisect.bisect_left(index, (end, -1))]
-
     def span_list(self, start: float, end: float,
                   predicate: Optional[Callable[[Span], bool]] = None
                   ) -> list[Span]:
-        """Spans with start_time in [start, end), optionally filtered."""
-        spans = [entry[2] for entry in self.time_range(start, end)]
+        """Spans with start_time in [start, end) in (start_time,
+        span_id) order, optionally filtered: the overlapping segments'
+        slices, concatenated in segment order."""
+        self._commit_time_index()
+        low = (start, -1)
+        high = (end, -1)
+        spans: list[Span] = []
+        for run in self._segments.values():
+            if run[-1][0] < start:
+                continue
+            if run[0][0] >= end:
+                break
+            spans += map(_SPAN, run[bisect.bisect_left(run, low):
+                                    bisect.bisect_left(run, high)])
         if predicate is not None:
             spans = [span for span in spans if predicate(span)]
         return spans

@@ -75,15 +75,16 @@ def association_keys(span) -> list[tuple]:
 class TraceGraphIndex:
     """Union-find over spans, merged along shared association keys.
 
-    Supports only growth (spans are never deleted from the store), which
-    is the regime where union-find is optimal: a link is amortized
-    near-O(α), ``component`` is a find plus returning the root's member
-    set.  Member sets are merged smaller-into-larger, bounding total
-    membership moves at O(n log n) over any insert sequence.
+    Supports only growth, which is the regime where union-find is
+    optimal: a link is amortized near-O(α), ``component`` is a find plus
+    returning the root's member set.  Member sets are merged
+    smaller-into-larger, bounding total membership moves at O(n log n)
+    over any insert sequence.  When retention drops a time segment, the
+    store builds a fresh forest from the survivors' postings.
 
-    The forest knows nothing about keys: its callers (the span store's
-    key commit, the sharded store's boundary merge) resolve key → owner
-    through their own tables and hand over ``(span, carrier)`` pairs.
+    The forest knows nothing about keys: its caller (the span store's
+    key commit) resolves key → carrier through its posting maps and
+    hands over ``(span, carrier)`` pairs.
     """
 
     def __init__(self) -> None:
@@ -97,8 +98,7 @@ class TraceGraphIndex:
         #: ``SpanStore.arm_component_events``), every link applied by
         #: :meth:`link_batch` is also appended here as an ``(a, b)``
         #: pair, giving push-path consumers the exact merge stream the
-        #: forest saw.  Mirrors the ``first_seen_keys`` armed-sink
-        #: pattern: None (the default) costs one branch per batch.
+        #: forest saw.  None (the default) costs one branch per batch.
         self.events: Optional[list] = None
 
     def __len__(self) -> int:

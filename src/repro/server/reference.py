@@ -13,9 +13,9 @@ the span-list scan, the iteration-budget ablation truncates it, and the
 property tests hold the union-find equal to it and to a BFS oracle.
 
 It reads the per-axis postings through one read-only accessor,
-``carriers(tagged_keys)``: a :class:`repro.server.database.SpanStore`
-shard answers it, the server's one store (:class:`repro.server.sharding.
-ShardedSpanStore`, one shard by default) fans it out to every shard.
+``carriers(tagged_keys)`` of :class:`repro.server.database.SpanStore`
+(and so of the server's :class:`repro.server.sharding.ShardedSpanStore`),
+one lookup per key in the one posting map.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ query time (step ⑧) by :meth:`DeepFlowServer.trace`.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.core.export import OtlpStreamExporter, metrics_to_otlp_json
@@ -20,17 +21,22 @@ from repro.server.sharding import ShardedSpanStore
 from repro.server.streaming import ContinuousAssembler
 from repro.server.tags import TagRegistry
 
+#: A span's whole state in constructor order, read in one C call: a
+#: labelled copy is ``Span(*_SPAN_STATE(span))``, without
+#: ``dataclasses.replace``'s per-field introspection.
+_SPAN_STATE = attrgetter(*(field.name for field in fields(Span)))
+
 
 class DeepFlowServer:
     """Cluster-level collector, store, and query engine.
 
     The span store is one :class:`repro.server.sharding.ShardedSpanStore`
-    of *shards* shards (one by default): inserts route by association-key
-    hash × time window, and ``trace()`` reads one component out of the
-    forest the shards share.
+    of 60 s time segments that keeps the newest segment and the *shards*
+    before it (one by default): ``trace()`` reads one component out of
+    its forest, and a span list concatenates the segments it overlaps.
     Tenant labels (``ingest_spans``) and cluster labels (``new_agent``)
-    thread through routing and the span-list filters so one server
-    instance models DeepFlow's multi-cluster, multi-tenant deployment.
+    thread through the span-list filters so one server instance models
+    DeepFlow's multi-cluster, multi-tenant deployment.
     """
 
     def __init__(self, shards: int = 1, streaming: bool = False):
@@ -102,7 +108,7 @@ class DeepFlowServer:
 
     def pipeline_stats(self) -> dict:
         """Self-metrics snapshot of every pipeline stage wired to this
-        server: agent dispatch, shard routing, ingest, continuous
+        server: agent dispatch, ingest, store retention, continuous
         assembly, and export."""
         stats = {
             "metrics": self.pipeline_metrics.snapshot(),
@@ -127,19 +133,21 @@ class DeepFlowServer:
         """Enrich and store a batch of spans from an agent.
 
         The whole batch goes through :meth:`ShardedSpanStore.insert_many`,
-        so the time index is merged once per shipment and the union-find
+        so the time runs are merged once per shipment and the union-find
         merges coalesce, instead of paying per-span index maintenance.
         When *tenant* is given the store stamps the label into each
-        span's tags and salts the routing hash so tenants spread across
-        shards independently.  A rejected batch leaves nothing behind.
+        span's tags.  Re-shipped spans (an id already stored) and spans
+        past the retention horizon are skipped and counted by the store
+        (``store.duplicate_spans``, ``store.late_spans``); the rest of
+        the batch is stored, counted as ingested and pushed.
 
-        With streaming enabled the batch also pushes through the
+        With streaming enabled the accepted spans also push through the
         continuous assembler at sim time *now* (agents pass their
         clock; when absent, the batch's latest span end stands in).
         """
         for span in spans:
             self._enrich(span)
-        self.store.insert_many(spans, tenant)
+        spans = self.store.insert_many(spans, tenant, now)
         self.ingested_spans += len(spans)
         self._m_ingested.inc(len(spans))
         self._m_batches.inc()
@@ -220,7 +228,8 @@ class DeepFlowServer:
             tags = span.tags
             labels = custom.get((tags.get("vpc"), tags.get("ip")))
             if labels:
-                span = replace(span, tags={**tags, **labels})
+                span = Span(*_SPAN_STATE(span))
+                span.tags = {**tags, **labels}
             joined.append(span)
         return Trace._from_ordered(joined)
 

@@ -9,7 +9,7 @@ state per in-flight trace, driven by two signals —
   live trace), and
 * the union-find's component-changed events
   (``ShardedSpanStore.take_component_events``): every shared-key link
-  the key commit discovers, including cross-shard boundary links,
+  the key commit discovers, across time segments as within one,
   arrives as an ``(a, b)`` pair and merges span *a*'s live trace into
   span *b*'s — or, if *b*'s already retired, counts a
   ``stream.late_links`` and leaves *a*'s to be exported without it.
@@ -114,8 +114,8 @@ class FinishedTrace:
 class ContinuousAssembler:
     """Push-path trace assembly over an armed span store.
 
-    *store* is the server's one store (one :class:`repro.server.
-    database.SpanStore` shard works too); construction arms its
+    *store* is the server's one store (a plain :class:`repro.server.
+    database.SpanStore` works too); construction arms its
     component-event sink.  Feed it with :meth:`on_spans` after each
     ingest batch and tick it with sim time (the server does both from
     ``ingest_spans``); read finished traces from :attr:`finished` or

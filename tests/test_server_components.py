@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ids import IdAllocator
+from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span, SpanKind, SpanSide, Trace
 from repro.server.assembler import TraceAssembler, assign_parents
 from repro.server.database import SpanStore
@@ -55,28 +56,29 @@ class TestSpanStore:
         assert len(store) == 1
 
     def test_duplicate_id_rejected(self):
+        """A repeated id is skipped and counted, never stored twice."""
         store = SpanStore()
         s = span()
         store.insert_many((s,))
-        with pytest.raises(ValueError):
-            store.insert_many((s,))
+        assert store.insert_many((s,)) == []
+        assert len(store) == 1
 
-    def test_rejected_batch_is_retracted_whole(self):
-        store = SpanStore()
+    def test_duplicates_are_skipped_and_the_rest_stored(self):
+        metrics = PipelineMetrics()
+        store = SpanStore(metrics)
         kept = [span(systrace_id=5), span(systrace_id=5)]
         store.insert_many(kept)
         kept_ids = {s.span_id for s in kept}
         assert store.component_ids(kept[0].span_id) == kept_ids
         fresh = span(systrace_id=5)
-        with pytest.raises(ValueError):
-            store.insert_many([fresh, span(), fresh])
-        assert len(store) == 2
-        assert store.get(fresh.span_id) is None
-        assert store.component_ids(kept[0].span_id) == kept_ids
-        assert len(store.span_list(0.0, 10.0)) == 2
-        store.insert_many([fresh])
+        other = span()
+        assert store.insert_many([fresh, kept[1], other, fresh]) == [
+            fresh, other]
+        assert metrics.get("store.duplicate_spans").value == 2
+        assert len(store) == 4
         assert store.component_ids(fresh.span_id) == kept_ids | {
             fresh.span_id}
+        assert len(store.span_list(0.0, 10.0)) == 4
 
     def test_search_by_systrace(self):
         store = SpanStore()

@@ -1,9 +1,11 @@
-"""Unit tests for the sharded span store: routing, tenancy, boundaries.
+"""Unit tests for the server's span store: time segments, retention,
+tenancy and the commit phases.
 
-The equivalence of the shared-forest ``trace()`` with a single unsharded
-store is property-tested in test_trace_index_properties.py; this file
-pins the mechanics — deterministic routing, the seal/merge phase APIs,
-tenant label threading, and the observability counters.
+The equivalence of a segmented store with one store holding the same
+spans is property-tested in test_trace_index_properties.py; this file
+pins the mechanics — segment assignment, the seal/merge phase APIs,
+store-wide duplicate detection, whole-segment drops, tenant label
+threading, and the observability counters.
 """
 
 import os
@@ -14,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span, SpanKind, SpanSide
+from repro.kernel.kernel import Kernel
 from repro.server.database import SpanStore
 from repro.server.index import association_keys
 from repro.server.server import DeepFlowServer
-from repro.server.sharding import MAX_SHARDS, ShardedSpanStore
+from repro.server.sharding import ShardedSpanStore
+from repro.sim.engine import Simulator
 
 
 def make_span(span_id, *, systrace=None, xreq=None, start=1.0, **extra):
@@ -28,84 +33,83 @@ def make_span(span_id, *, systrace=None, xreq=None, start=1.0, **extra):
                 x_request_id=xreq, **extra)
 
 
+def counters(server):
+    return server.pipeline_stats()["metrics"]["counters"]
+
+
 class TestRouting:
+    """A span's segment is ``start_time // window``: nothing about its
+    keys, its tenant or the shard count moves it."""
+
     def test_routing_is_deterministic(self):
-        store = ShardedSpanStore(4)
-        span = make_span(1, systrace=77)
-        assert store._route(span, 0) == store._route(span, 0)
+        store = ShardedSpanStore(4, window=10.0)
+        store.insert_many([make_span(i, systrace=77 + i,
+                                     start=5.0 + 10.0 * (i % 3))
+                           for i in range(9)])
+        assert store.shard_stats()["segments"] == [0, 1, 2]
+        assert [store.seal_shard(key) for key in range(4)] == [3, 3, 3, 0]
 
     def test_same_key_same_window_same_shard(self):
         store = ShardedSpanStore(8, window=60.0)
-        spans = [make_span(i, systrace=42, start=float(i)) for i in range(20)]
-        shards = {store._route(span, 0) for span in spans}
-        assert len(shards) == 1
+        store.insert_many([make_span(i, systrace=42 if i % 2 else i,
+                                     start=float(i)) for i in range(20)])
+        stats = store.shard_stats()
+        assert stats["segments"] == [0]
+        assert stats["segment_sizes"] == [20]
 
     def test_windows_split_one_key_across_shards(self):
+        """One key over nine windows: nine segments, one trace, and no
+        link spent stitching it back together."""
         store = ShardedSpanStore(8, window=1.0)
-        spans = [make_span(i, systrace=42, start=float(i) * 10)
-                 for i in range(32)]
-        shards = {store._route(span, 0) for span in spans}
-        assert len(shards) > 1
-
-    def test_keys_spread_across_shards(self):
-        store = ShardedSpanStore(4)
-        batches = store.route_batches(
-            make_span(i, systrace=i) for i in range(400))
-        sizes = [len(batch) for batch in batches]
-        assert sum(sizes) == 400
-        assert min(sizes) > 0
-        # No shard should carry a wildly disproportionate share.
-        assert max(sizes) < 3 * (400 // 4)
-
-    def test_route_batches_is_pure(self):
-        store = ShardedSpanStore(4)
-        spans = [make_span(i, systrace=i) for i in range(10)]
-        store.route_batches(spans)
-        assert len(store) == 0
+        store.insert_many([make_span(i, systrace=42, start=i + 0.5)
+                           for i in range(9)])
+        stats = store.shard_stats()
+        assert stats["segments"] == list(range(9))
+        assert stats["boundary_links"] == 0
+        assert store.component_ids(0) == set(range(9))
 
     def test_keyless_span_routes_by_span_id(self):
         store = ShardedSpanStore(4)
         spans = [make_span(i) for i in range(100)]
         store.insert_many(spans)
         assert len(store) == 100
-        # Keyless spans are singleton components on whatever shard.
+        # Keyless spans are singleton components.
         assert store.component_ids(7) == {7}
-
-    def test_tenant_salt_changes_spread(self):
-        store = ShardedSpanStore(8)
-        spans = [make_span(i, systrace=i) for i in range(200)]
-        default = store.route_batches(spans)
-        salted = store.route_batches(spans, tenant="acme")
-        assert default != salted
-        assert sorted(map(len, salted)) != [0] * 7 + [200]  # still spread
 
     def test_shard_count_bounds(self):
         with pytest.raises(ValueError):
             ShardedSpanStore(0)
         with pytest.raises(ValueError):
-            ShardedSpanStore(MAX_SHARDS + 1)
-        with pytest.raises(ValueError):
             ShardedSpanStore(2, window=0.0)
+        # The retention depth has no upper bound.
+        assert ShardedSpanStore(1000).shard_count == 1000
 
 
 class TestIngest:
     def test_duplicate_id_on_same_shard_rejected(self):
-        store = ShardedSpanStore(4)
+        """The id check is store-wide: a repeat in another segment is
+        skipped and counted, never an exception."""
+        metrics = PipelineMetrics()
+        store = ShardedSpanStore(4, metrics=metrics)
         span = make_span(5, systrace=1)
-        store.insert_many((span,))
-        with pytest.raises(ValueError):
-            store.insert_many((make_span(5, systrace=1),))
+        assert store.insert_many((span,)) == (span,)
+        twin = make_span(5, systrace=1, start=200.0)
+        assert store.insert_many((twin,)) == []
+        assert store.get(5) is span
+        assert len(store) == 1
+        assert metrics.get("store.duplicate_spans").value == 1
+        assert store.shard_stats()["segments"] == [0]
 
     def test_get_probes_shards(self):
-        store = ShardedSpanStore(4)
-        spans = [make_span(i, systrace=i) for i in range(50)]
+        """``get`` is one id-map lookup, whichever segment holds the
+        span."""
+        store = ShardedSpanStore(4, window=1.0)
+        spans = [make_span(i, systrace=i, start=0.5 * i) for i in range(8)]
         store.insert_many(spans)
         for span in spans:
             assert store.get(span.span_id) is span
         assert store.get(999) is None
-        assert store.shard_of(999) is None
-        owner = store.shard_of(3)
-        assert store.shards[owner].get(3) is spans[3]
+        assert store.shard_stats()["segment_sizes"] == [2, 2, 2, 2]
 
     def test_all_spans_unions_shards(self):
         store = ShardedSpanStore(3)
@@ -118,9 +122,9 @@ class TestIngest:
 def run_hashseed_corpus():
     """A fixed corpus through ``ShardedSpanStore(4, window=0.5)`` batch
     by batch: int, str and tuple association keys on every axis, each
-    key carried in four routing windows so it straddles shards, plus
-    spans bridging two axes.  Returns every drained link event, in
-    order, and the final ``shard_stats()``."""
+    key carried in four time windows, plus spans bridging two axes.
+    Returns every drained link event, in order, and the final
+    ``shard_stats()``."""
     spans = []
     for window in range(4):
         for group in range(8):
@@ -153,7 +157,7 @@ def run_hashseed_corpus():
 class TestComponentReadOut:
     @pytest.mark.parametrize("flushed", [False, True])
     def test_unknown_id_raises_before_and_after_a_flush(self, flushed):
-        store = ShardedSpanStore(4, window=0.5)
+        store = ShardedSpanStore(4, window=1.0)
         store.insert_many([make_span(i, xreq="shared", start=0.3 * i)
                            for i in range(12)])
         if flushed:
@@ -199,16 +203,22 @@ class TestSpanListMerge:
     def test_sharded_span_list_is_the_single_store_list(
             self, batches, shards, window, bounds, tenant, odd_only,
             query_between):
-        """Same spans, same order as one unsharded store — whatever the
-        shard count, batch order, ties on start_time and filters."""
-        single = SpanStore()
-        sharded = ShardedSpanStore(shards, window=window)
+        """Same spans, same order as one store holding what retention
+        kept — whatever the depth, batch order, ties on start_time and
+        filters."""
+        segmented = ShardedSpanStore(shards, window=window)
         for batch, label in batches:
-            sharded.insert_many(batch, tenant=label)
-            single.insert_many(batch)
+            segmented.insert_many(batch, tenant=label)
             if query_between:  # commit time runs batch by batch
-                sharded.span_list(*bounds)
-                single.span_list(*bounds)
+                segmented.span_list(*bounds)
+        offered = [span for batch, _label in batches for span in batch]
+        newest = max(span.start_time // window for span in offered)
+        kept = [span for span in offered
+                if span.start_time // window >= newest - shards]
+        assert sorted(s.span_id for s in segmented.all_spans()) == sorted(
+            s.span_id for s in kept)
+        single = SpanStore()
+        single.insert_many(kept)
         predicate = (lambda span: span.span_id % 2 == 1) if odd_only \
             else None
 
@@ -216,7 +226,7 @@ class TestSpanListMerge:
             return ((tenant is None or span.tags.get("tenant") == tenant)
                     and (predicate is None or predicate(span)))
 
-        got = sharded.span_list(*bounds, predicate=wanted)
+        got = segmented.span_list(*bounds, predicate=wanted)
         expected = single.span_list(*bounds, predicate=wanted)
         assert [id(span) for span in got] == [id(span)
                                               for span in expected]
@@ -242,69 +252,60 @@ class TestSpanListMerge:
         assert picks == [5, 5]  # earliest start (0.0), then smallest id
 
     def test_one_id_on_two_shards_neither_raises_nor_reorders(self):
-        """Two *different* spans may reuse one id on two shards
-        undetected; the merge must not fall through to comparing them.
-        They come out lower shard first, as the k-way merge had it."""
+        """Two *different* spans offered under one id, in two segments:
+        the store-wide check keeps the first, counts the second, and the
+        list keeps time order."""
         server = DeepFlowServer(shards=4)
         store = server.store
         twin_a = make_span(5, systrace=1, start=1.0)
-        twin_b = next(
-            candidate for candidate in (
-                make_span(5, systrace=key, start=1.0, resource="other")
-                for key in range(2, 50))
-            if store._route(candidate, 0) != store._route(twin_a, 0))
-        assert twin_a != twin_b
+        twin_b = make_span(5, systrace=2, start=61.0, resource="other")
         others = [make_span(10 + i, systrace=100 + i, start=0.5 + 0.1 * i)
                   for i in range(12)]
         store.insert_many([twin_b, *others, twin_a])
         listed = server.span_list(0.0, float("inf"))
         assert [s.span_id for s in listed] == [
             s.span_id for s in sorted(
-                [twin_a, twin_b, *others],
-                key=lambda s: (s.start_time, s.span_id))]
-        twins = [s for s in listed if s.span_id == 5]
-        assert [store._route(s, 0) for s in twins] == sorted(
-            store._route(s, 0) for s in twins)
-        assert {id(s) for s in twins} == {id(twin_a), id(twin_b)}
-        assert server.slowest_span() is listed[0]
+                [twin_b, *others], key=lambda s: (s.start_time, s.span_id))]
+        assert [id(s) for s in listed if s.span_id == 5] == [id(twin_b)]
+        assert counters(server)["store.duplicate_spans"] == 1
+        assert server.slowest_span() is max(listed,
+                                            key=lambda s: s.duration)
 
 
 class TestBoundaryPhases:
+    """The two commit phases the benchmark tracer times on their own:
+    ``seal_shard`` (a segment's time run) and ``merge_boundaries`` (the
+    posting map into the forest)."""
+
     def build(self):
-        # Two spans per systrace id, windows forced apart so each pair
-        # straddles shards with high likelihood.
+        # Two spans per systrace id, three windows apart.
         store = ShardedSpanStore(4, window=1.0)
         spans = []
         for trace_id in range(30):
             spans.append(make_span(2 * trace_id, systrace=trace_id,
                                    start=0.5))
             spans.append(make_span(2 * trace_id + 1, systrace=trace_id,
-                                   start=100.5))
+                                   start=3.5))
         store.insert_many(spans)
         return store, spans
 
     def test_seal_then_probe_then_merge(self):
-        """Sealing commits the shards and queues their first-seen keys;
-        only the merge probes the owner table and links."""
+        """Sealing sorts the segments' time runs and leaves the keys
+        pending; only the merge commits them into the forest."""
         store, spans = self.build()
-        sealed = sum(store.seal_shard(i) for i in range(store.shard_count))
-        assert sealed > 30  # every distinct (key, shard) logged once
-        assert not any(shard.pending_key_count() for shard in store.shards)
-        assert store.shard_stats()["boundary_links"] == 0
+        assert [store.seal_shard(key) for key in range(5)] \
+            == [30, 0, 0, 30, 0]
+        assert store.pending_key_count() == 60
         store.merge_boundaries()
-        # One link per key seen from a second shard; the logs are taken.
-        assert store.shard_stats()["boundary_links"] == sealed - 30
-        assert [store.seal_shard(i) for i in range(store.shard_count)] \
-            == [0] * store.shard_count
+        assert store.pending_key_count() == 0
         for trace_id in range(30):
             assert store.component_ids(2 * trace_id) == {
                 2 * trace_id, 2 * trace_id + 1}
-        # The query found nothing left to merge.
-        assert store.shard_stats()["boundary_links"] == sealed - 30
+        assert store.shard_stats()["boundary_links"] == 0
 
     def test_link_order_independent_of_pythonhashseed(self):
-        """The boundary layer finds the same links in the same order in
-        every process, however that process salts str hashes."""
+        """The store finds the same links in the same order in every
+        process, however that process salts str hashes."""
         script = ("from tests.test_sharding import run_hashseed_corpus\n"
                   "print(run_hashseed_corpus())")
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -320,14 +321,15 @@ class TestBoundaryPhases:
         assert outputs[0] == outputs[1]
         events, stats = run_hashseed_corpus()
         assert outputs[0].strip() == repr((events, stats))
-        assert stats["boundary_links"] > 50  # the corpus does straddle
+        assert len(events) > 50  # the corpus does link
+        assert stats["segments"] == [0, 1, 2, 3]
 
     def test_flush_is_equivalent_and_idempotent(self):
         store, spans = self.build()
         store.flush()
         store.flush()
-        stats = store.shard_stats()
-        assert stats["boundary_keys"] > 0
+        assert store.pending_key_count() == 0
+        assert store.shard_stats()["spans"] == 60
         for trace_id in range(30):
             assert store.component_ids(2 * trace_id) == {
                 2 * trace_id, 2 * trace_id + 1}
@@ -336,17 +338,16 @@ class TestBoundaryPhases:
         store, spans = self.build()
         # No explicit flush/seal: component_ids must do it all.
         assert store.component_ids(0) == {0, 1}
-        assert store.shard_stats()["boundary_links"] > 0
+        assert store.pending_key_count() == 0
 
     def test_carriers_commits_every_shard_before_answering(self):
         """The reference search's accessor must see spans nothing has
-        queried yet: every shard commits its pending keys first."""
+        queried yet: pending keys are committed first."""
         store, spans = self.build()
-        assert all(shard.pending_key_count() for shard in store.shards)
+        assert store.pending_key_count() == 60
         keys = [key for span in spans[:2] for key in association_keys(span)]
         assert store.carriers(keys) == {0, 1}
-        assert not any(shard.pending_key_count() for shard in store.shards)
-        # Committing there must not hide the keys from the boundary seal.
+        assert store.pending_key_count() == 0
         assert store.component_ids(0) == {0, 1}
 
     def test_shard_stats_shape(self):
@@ -355,10 +356,13 @@ class TestBoundaryPhases:
         stats = store.shard_stats()
         assert stats["spans"] == 60
         assert stats["shards"] == 4
-        assert sum(stats["shard_sizes"]) == 60
-        assert stats["imbalance"] >= 1.0
-        assert set(stats) == {"shards", "spans", "shard_sizes", "imbalance",
-                              "boundary_keys", "boundary_links"}
+        assert stats["segments"] == [0, 3]
+        assert stats["segment_sizes"] == [30, 30]
+        assert stats["imbalance"] == 1.0
+        assert set(stats) == {"shards", "window", "segments",
+                              "segment_sizes", "spans", "imbalance",
+                              "boundary_links", "segments_dropped",
+                              "spans_dropped"}
 
 
 class TestTenancy:
@@ -381,11 +385,15 @@ class TestTenancy:
                 range(10)) + sorted(range(100, 110))
 
     def test_empty_tenant_is_stamped_but_does_not_salt(self):
-        store = ShardedSpanStore(4)
-        spans = [make_span(i, systrace=i) for i in range(20)]
-        assert store.route_batches(spans, "") == store.route_batches(spans)
-        store.insert_many(spans, "")
+        """A label, even the empty one, is stamped and moves nothing."""
+        plain = ShardedSpanStore(4, window=1.0)
+        labeled = ShardedSpanStore(4, window=1.0)
+        plain.insert_many([make_span(i, systrace=i, start=0.4 * i)
+                           for i in range(20)])
+        spans = [make_span(i, systrace=i, start=0.4 * i) for i in range(20)]
+        labeled.insert_many(spans, "")
         assert all(s.tags["tenant"] == "" for s in spans)
+        assert labeled.shard_stats() == plain.shard_stats()
 
     def test_search_tenant_filter(self):
         store = ShardedSpanStore(2)
@@ -414,30 +422,34 @@ class TestOneStore:
     @pytest.mark.parametrize("shards", [1, 4])
     def test_every_shard_links_into_the_one_forest(self, shards):
         store = ShardedSpanStore(shards, window=0.5)
-        assert all(shard.graph is store.graph for shard in store.shards)
-        store.insert_many([make_span(i, xreq="x", start=0.3 * i)
+        store.insert_many([make_span(i, xreq="x", start=0.05 * i)
                            for i in range(12)])
         store.flush()
+        assert store.shard_stats()["segments"] == [0, 1]
         assert len(store.graph) == 12
         assert store.component_ids(0) is store.graph.component(11)
 
     def test_default_server_runs_one_shard_and_no_owner_table(self):
+        """The default server: 60 s segments, the newest and one more
+        kept."""
         server = DeepFlowServer()
         assert isinstance(server.store, ShardedSpanStore)
         assert server.store.shard_count == 1
+        assert server.store.window == 60.0
         server.ingest_spans([make_span(i, systrace=7, xreq="r", start=i)
                              for i in range(6)])
         assert {s.span_id for s in server.trace(0)} == set(range(6))
         stats = server.pipeline_stats()["shards"]
         assert stats["shards"] == 1
-        assert stats["boundary_keys"] == 0
-        assert server.store.seal_shard(0) == 0
+        assert stats["segments"] == [0]
+        assert stats["boundary_links"] == 0
+        assert server.store.seal_shard(0) == 6
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_rejected_batch_leaves_nothing_behind(self, shards):
-        """A duplicate span id rejects the whole batch: nothing of it is
-        stored, counted or pushed, and the batch re-sent without the
-        duplicate goes through the push path normally."""
+        """A batch whose every span repeats a stored id is stored,
+        counted as ingested and pushed not at all — only counted as
+        duplicates; in a mixed batch, the rest goes through normally."""
         server = DeepFlowServer(shards=shards, streaming=True)
         server.ingest_spans([make_span(i, systrace=i) for i in range(4)],
                             now=1.01)
@@ -448,24 +460,140 @@ class TestOneStore:
                     stream.stats()["spans_seen"])
 
         before = seen()
+        server.ingest_spans([make_span(i, systrace=i) for i in range(4)],
+                            now=1.015)
+        assert seen() == before
+        assert counters(server)["store.duplicate_spans"] == 4
         batch = [make_span(100 + i, systrace=100 + i // 2)
                  for i in range(8)]
         batch[6] = make_span(1, systrace=1)  # the 7th repeats a stored id
-        if shards > 1:
-            # Spans routed ahead of the duplicate, on its shard and on a
-            # lower one, are what the error path has to take back.
-            dup = server.store._route(batch[6], 0)
-            routes = [server.store._route(span, 0) for span in batch[:6]]
-            assert dup in routes and min(routes) < dup
-        with pytest.raises(ValueError):
-            server.ingest_spans(batch, now=1.02)
-        assert seen() == before
-        assert all(server.store.get(100 + i) is None for i in range(8))
-        del batch[6]
         server.ingest_spans(batch, now=1.02)
+        assert seen() == (before[0] + 7, before[1] + 7, before[2] + 7)
+        assert counters(server)["store.duplicate_spans"] == 5
         stream.drain(5.0)
         assert stream.exporter.exported_spans == 4 + 7
         assert {s.span_id for s in server.trace(100)} == {100, 101}
+
+
+class TestRetention:
+    def test_segments_drop_whole_and_counted(self):
+        """Depth 2: the newest segment and the two before it stay; an
+        older one goes whole — rows, postings, forest members and time
+        run — and the counters say so."""
+        metrics = PipelineMetrics()
+        store = ShardedSpanStore(2, window=1.0, metrics=metrics)
+        # Span 10w+i carries systrace i in every window w: four traces,
+        # each with one span per window.
+        for window in range(6):
+            store.insert_many([
+                make_span(10 * window + i, systrace=i,
+                          start=window + 0.1 * i)
+                for i in range(4)])
+            live = list(range(max(0, window - 2), window + 1))
+            assert store.shard_stats()["segments"] == live
+            assert len(store) <= 3 * 4
+        assert metrics.get("store.segments_dropped").value == 3
+        assert metrics.get("store.spans_dropped").value == 12
+        assert store.get(0) is None and store.get(29) is None
+        survivors = {10 * w + i for w in (3, 4, 5) for i in range(4)}
+        assert {s.span_id for s in store.all_spans()} == survivors
+        assert store.carriers([("sys", 0)]) == {30, 40, 50}
+        assert store.component_ids(50) == {30, 40, 50}
+        assert [s.span_id for s in store.span_list(0.0, 3.25)] == [30, 31,
+                                                                   32]
+
+    def test_late_span_is_skipped_and_counted(self):
+        """A span older than the horizon on arrival never lands."""
+        server = DeepFlowServer(shards=1, streaming=True)
+        server.ingest_spans([make_span(1, systrace=1, start=130.0)],
+                            now=130.1)
+        late = make_span(2, systrace=1, start=10.0)
+        kept = make_span(3, systrace=1, start=70.0)
+        server.ingest_spans([late, kept], now=130.2)
+        assert server.store.get(2) is None
+        assert server.ingested_spans == 2
+        assert server.streaming.stats()["spans_seen"] == 2
+        assert counters(server)["store.late_spans"] == 1
+        assert {s.span_id for s in server.trace(1)} == {1, 3}
+
+    def test_drops_at_most_once_per_window(self):
+        """Spans inside the newest window never trigger a drop: the
+        store looks for segments to drop only when a window opens past
+        the horizon."""
+        store = ShardedSpanStore(1, window=1.0)
+        floors = []
+        expire = store._expire
+
+        def spy(floor, batch):
+            floors.append(floor)
+            return expire(floor, batch)
+
+        store._expire = spy
+        store.insert_many([make_span(0, systrace=1, start=0.5)])
+        store.insert_many([make_span(1, systrace=1, start=1.5)])
+        for i in range(2, 10):
+            store.insert_many([make_span(i, systrace=1, start=1.5 + i / 100)])
+        assert floors == []
+        store.insert_many([make_span(10, systrace=1, start=2.5),
+                           make_span(11, systrace=2, start=2.6)])
+        for i in range(12, 20):
+            store.insert_many([make_span(i, systrace=2, start=2.5 + i / 100)])
+        assert floors == [1.0]
+        assert store.shard_stats()["segments_dropped"] == 1
+        assert store.component_ids(10) == set(range(1, 11))
+        assert store.component_ids(11) == set(range(11, 20))
+
+    def test_future_span_expires_nothing(self):
+        """A span stamped far past the ingest clock is stored but moves
+        no horizon: what came before stays, what comes after lands."""
+        server = DeepFlowServer(shards=1)
+        server.ingest_spans([make_span(i, systrace=1, start=1.0 + i)
+                             for i in range(5)], now=6.0)
+        bogus = Span(span_id=99, kind=SpanKind.APP, side=SpanSide.APP,
+                     start_time=1e6, end_time=1e6 + 1.0,
+                     otel_trace_id="ab" * 16)
+        server.ingest_otel_span(bogus, now=7.0)
+        server.ingest_spans([make_span(5, systrace=1, start=8.0)], now=9.0)
+        assert len(server.store) == 7
+        assert {s.span_id for s in server.trace(0)} == set(range(6))
+        stats = counters(server)
+        assert stats["store.late_spans"] == 0
+        assert stats["store.segments_dropped"] == 0
+        assert server.ingested_spans == 7
+
+    def test_batch_across_the_horizon_reports_only_what_it_kept(self):
+        """One batch over four windows at depth 1 drops its own first
+        two spans: only the two kept are returned, counted as ingested
+        and pushed, and they still form one trace."""
+        store = ShardedSpanStore(1, window=1.0)
+        spans = [make_span(i, systrace=1, start=i + 0.5) for i in range(4)]
+        assert store.insert_many(spans) == spans[2:]
+        assert store.shard_stats()["spans_dropped"] == 2
+        assert store.component_ids(3) == {2, 3}
+        server = DeepFlowServer(shards=1, streaming=True)
+        server.ingest_spans([make_span(10 + i, systrace=2, start=60.0 * i)
+                             for i in range(4)], now=200.0)
+        assert server.ingested_spans == len(server.store) == 2
+        assert server.streaming.stats()["spans_seen"] == 2
+        assert {s.span_id for s in server.trace(13)} == {12, 13}
+
+    def test_agent_reshipping_a_batch_raises_nothing(self):
+        """At-least-once delivery: an agent that ships the same batch
+        twice stores and exports each span once, and the duplicate
+        counter reads the batch size."""
+        sim = Simulator()
+        server = DeepFlowServer(streaming=True)
+        agent = server.new_agent(Kernel(sim, "n1"))
+        batch = [make_span(i, systrace=i // 3, start=0.1 * i)
+                 for i in range(9)]
+        for _ in range(2):
+            agent.pending_spans = list(batch)
+            assert agent.ship() == len(batch)
+        server.streaming.drain(5.0)
+        assert len(server.store) == len(batch)
+        assert server.ingested_spans == len(batch)
+        assert server.streaming.exporter.exported_spans == len(batch)
+        assert counters(server)["store.duplicate_spans"] == len(batch)
 
 
 class TestSingleShardDegenerate:
@@ -478,5 +606,4 @@ class TestSingleShardDegenerate:
         for span in spans:
             assert (sharded.component_ids(span.span_id)
                     == single.component_ids(span.span_id))
-        # Nothing can straddle.
         assert sharded.shard_stats()["boundary_links"] == 0

@@ -65,13 +65,13 @@ class TestComponentEvents:
     def test_sharded_store_emits_boundary_links(self):
         store = ShardedSpanStore(4, window=0.5)
         store.arm_component_events()
-        # Same x_request_id, two time windows: the association crosses
-        # the routing boundary, so the link arrives via the owner-table
-        # probe rather than any single shard's union-find.
+        # Same x_request_id, two time segments: the one posting map
+        # links across the segment boundary like anywhere else.
         store.insert_many([_span(1, 0.1, 0.2, xreq="xr"),
                            _span(2, 0.8, 0.9, xreq="xr")])
         events = store.take_component_events()
-        assert (1, 2) in events or (2, 1) in events
+        assert events == [(2, 1)]
+        assert store.shard_stats()["segments"] == [0, 1]
 
 
 class TestLifecycle:
@@ -343,6 +343,38 @@ class TestLateLinks:
         assert {s.span_id for s in server.trace(2)} == {1, 2}
 
 
+class TestRetentionUnderStreaming:
+    @staticmethod
+    def _run(shards):
+        """One 4-span trace every 20 sim-s for 300 s, each retired long
+        before the next, then a straggler linking into a retired trace
+        that is still stored."""
+        server = DeepFlowServer(shards=shards, streaming=True)
+        stream = server.streaming
+        for index in range(15):
+            start = 20.0 * index
+            server.ingest_spans(
+                [_span(10 * index + i, start + 0.01 * i, start + 0.3,
+                       systrace=index) for i in range(4)],
+                now=start + 0.3)
+            stream.tick(start + 5.0)
+        server.ingest_spans([_span(999, 290.0, 290.1, systrace=13)],
+                            now=290.1)
+        stream.drain(400.0)
+        return server
+
+    def test_dropping_retired_traces_leaves_push_output_unchanged(self):
+        dropping, keeping = self._run(1), self._run(8)
+        assert dropping.store.shard_stats()["segments_dropped"] == 3
+        assert keeping.store.shard_stats()["segments_dropped"] == 0
+        assert (dropping.streaming.exporter.trace_payloads
+                == keeping.streaming.exporter.trace_payloads)
+        assert (dropping.streaming.stats()["late_links"]
+                == keeping.streaming.stats()["late_links"] == 1)
+        assert {s.span_id for s in dropping.trace(999)} == {
+            130, 131, 132, 133, 999}
+
+
 class TestPipelineStats:
     def test_stats_surface_every_stage(self):
         server = DeepFlowServer(shards=2, streaming=True)
@@ -355,7 +387,8 @@ class TestPipelineStats:
         assert stats["ingested_spans"] == 20
         metrics = stats["metrics"]
         assert metrics["counters"]["server.spans_ingested"] == 20
-        assert metrics["counters"]["router.spans_routed"] == 20
+        assert metrics["counters"]["store.duplicate_spans"] == 0
+        assert metrics["counters"]["store.segments_dropped"] == 0
         assert metrics["counters"]["stream.spans"] == 20
         assert metrics["histograms"]["server.ingest_batch_spans"][
             "count"] == 1

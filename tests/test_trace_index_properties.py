@@ -171,76 +171,127 @@ def test_assemble_span_set_stable_under_ablations(spans, queue_relay,
             == _oracle_component(spans, start))
 
 
+def _kept(spans, shards, window):
+    """The spans a segmented store of depth *shards* keeps: those whose
+    segment is within *shards* of the newest one offered."""
+    newest = max(span.start_time // window for span in spans)
+    return [span for span in spans
+            if span.start_time // window >= newest - shards]
+
+
 @settings(max_examples=80, deadline=None)
 @given(spans=span_lists(),
        shards=st.integers(min_value=1, max_value=8),
        window=st.sampled_from([0.5, 2.0, 60.0]),
        cut=st.integers(min_value=0, max_value=100),
        tenant=st.sampled_from([None, "acme"]),
-       sealed=st.lists(st.integers(min_value=0, max_value=7), unique=True),
+       sealed=st.lists(st.integers(min_value=0, max_value=20), unique=True),
        query_between=st.booleans())
 def test_sharded_components_match_unsharded(spans, shards, window, cut,
                                             tenant, sealed, query_between):
-    """Sharded `trace()` over N shards == one unsharded store ==
-    the BFS oracle, for every start span.
+    """Segments ≡ one store: over any window and retention depth, a
+    segmented store answers ``trace()`` and span lists exactly as one
+    plain store fed the spans it kept — and both match the BFS oracle
+    over those spans.
 
-    The small key domains make cross-shard keys the common case, and a
-    sub-second routing window splits even single-key traces across
-    shards — the boundary merge has to recover both.  The first batch
-    goes in under a drawn tenant label (salted routes, stamped tags).
-    A partial seal then commits only a drawn subset of shards before a
-    merge, so a key can reach the owner table from one shard in this
-    round and from another a round later; mid-stream queries force
-    per-shard commits and boundary merges to interleave with later
-    inserts.
+    Spans start anywhere in [0, 10] s, so a sub-second window spreads
+    even single-key traces over many segments and a shallow depth drops
+    the oldest ones, mid-stream as well as at the end.  The first batch
+    goes in under a drawn tenant label (stamped tags); a drawn subset
+    of segments is sealed and the posting map merged before the rest
+    arrives one span at a time, and mid-stream queries force the
+    commits to interleave with later inserts and drops.
     """
-    single = SpanStore()
-    single.insert_many(spans)
-    sharded = ShardedSpanStore(shards, window=window)
+    segmented = ShardedSpanStore(shards, window=window)
     cut = cut % len(spans)
-    sharded.insert_many(spans[:cut], tenant=tenant)
-    assert all(span.tags.get("tenant") == tenant for span in spans[:cut])
-    for shard_index in sealed:
-        if shard_index < shards:
-            sharded.seal_shard(shard_index)
+    stored = segmented.insert_many(spans[:cut], tenant=tenant)
+    assert all(span.tags.get("tenant") == tenant for span in stored)
+    for key in sealed:
+        segmented.seal_shard(key)
     if sealed:
-        sharded.merge_boundaries()
+        segmented.merge_boundaries()
     if query_between and cut:
-        # Trigger the seal/merge machinery mid-stream: later inserts
-        # must extend the owner table, not corrupt it.
-        sharded.component_ids(spans[0].span_id)
-        sharded.span_list(0.0, float("inf"))
+        survivor = segmented.all_spans()[0].span_id
+        segmented.component_ids(survivor)
+        segmented.span_list(0.0, float("inf"))
     for span in spans[cut:]:
-        sharded.insert_many((span,))
-    for span in spans:
-        merged = sharded.component_ids(span.span_id)
+        segmented.insert_many((span,))
+    kept = _kept(spans, shards, window)
+    assert sorted(s.span_id for s in segmented.all_spans()) == sorted(
+        s.span_id for s in kept)
+    single = SpanStore()
+    single.insert_many(kept)
+    for span in kept:
+        merged = segmented.component_ids(span.span_id)
         assert merged == single.component_ids(span.span_id)
-        assert merged == _oracle_component(spans, span.span_id)
-        # The read-out is the same walk: each member once, the very
-        # object its owning shard stores.
-        found = sharded.component_spans(span.span_id)
+        assert merged == _oracle_component(kept, span.span_id)
+        # The read-out: each member once, the very object stored.
+        found = segmented.component_spans(span.span_id)
         assert len(found) == len(merged)
         assert ({id(member) for member in found}
-                == {id(sharded.get(span_id)) for span_id in merged})
-    # The time-ordered view survives sharding too (concat and sort).
-    assert ([s.span_id for s in sharded.span_list(0.0, float("inf"))]
+                == {id(segmented.get(span_id)) for span_id in merged})
+    # The time-ordered view: segments concatenated in key order.
+    assert ([s.span_id for s in segmented.span_list(0.0, float("inf"))]
             == [s.span_id for s in single.span_list(0.0, float("inf"))])
 
 
 @settings(max_examples=40, deadline=None)
 @given(spans=span_lists(), shards=st.integers(min_value=2, max_value=8))
 def test_sharded_fast_path_matches_iterative_reference(spans, shards):
-    """Over a sharded store, the shared-forest union-find read-out and
-    the iterative Algorithm 1 reference (which fans each round's
-    frontier keys out to every shard) stay equivalent."""
-    sharded = ShardedSpanStore(shards, window=1.0)
-    sharded.insert_many(spans)
-    for span in spans:
+    """Over a segmented store, the union-find read-out and the iterative
+    Algorithm 1 reference (which reads the one posting map each round)
+    stay equivalent, on whatever retention kept."""
+    segmented = ShardedSpanStore(shards, window=1.0)
+    segmented.insert_many(spans)
+    kept = _kept(spans, shards, 1.0)
+    for span in kept:
         # Reference first: on the first start it meets uncommitted tails.
-        reference = _reference_ids(sharded, span.span_id)
-        fast = {s.span_id for s in sharded.component_spans(span.span_id)}
+        reference = _reference_ids(segmented, span.span_id)
+        fast = {s.span_id for s in segmented.component_spans(span.span_id)}
         assert fast == reference
-        assert fast == _oracle_component(spans, span.span_id)
+        assert fast == _oracle_component(kept, span.span_id)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spans=span_lists(min_size=2),
+       shards=st.integers(min_value=1, max_value=3),
+       batch=st.integers(min_value=1, max_value=8),
+       armed=st.booleans())
+def test_segment_drop_leaves_what_a_fresh_store_of_the_survivors_has(
+        spans, shards, batch, armed):
+    """After segments drop, every survivor's component, carriers and
+    time-ordered list are what a fresh store fed only the survivors
+    returns, and the forest rebuild emits no component events.
+
+    Spans arrive in time order, in batches, into half-second segments
+    with a shallow depth; a last span far in the future opens a segment
+    past every other's horizon, so the drops are certain."""
+    spans = sorted(spans, key=lambda span: span.start_time)
+    segmented = ShardedSpanStore(shards, window=0.5)
+    if armed:
+        segmented.arm_component_events()
+    *head, last = spans
+    for start in range(0, len(head), batch):
+        segmented.insert_many(head[start:start + batch])
+        if armed:
+            segmented.take_component_events()
+    last.start_time = last.end_time = 20.0
+    segmented.insert_many((last,))
+    if armed:
+        assert all(last.span_id in pair
+                   for pair in segmented.take_component_events())
+    kept = _kept(spans, shards, 0.5)
+    assert segmented.shard_stats()["segments_dropped"] > 0
+    fresh = SpanStore()
+    fresh.insert_many(kept)
+    assert len(segmented) == len(kept)
+    for span in kept:
+        assert (segmented.component_ids(span.span_id)
+                == fresh.component_ids(span.span_id))
+        keys = association_keys(span)
+        assert segmented.carriers(keys) == fresh.carriers(keys)
+    assert ([id(s) for s in segmented.span_list(0.0, float("inf"))]
+            == [id(s) for s in fresh.span_list(0.0, float("inf"))])
 
 
 @settings(max_examples=60, deadline=None)

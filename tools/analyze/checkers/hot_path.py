@@ -68,17 +68,17 @@ CHECKER_NAME = "hot-path"
 
 #: class name → method-name predicates seeding the hot closure.
 HOT_SEEDS: dict[str, tuple[str, ...]] = {
-    # Ingest, and the pull read path: a trace query is one forest find
-    # and one loop over the shards, each intersecting the component with
-    # its rows, and a range read one loop per shard, so a per-member
-    # shard probe or a per-shard sort there is a query-rate regression.
-    "SpanStore": ("insert_many", "span_list"),
-    # merge_boundaries / take_component_events are the push path's
-    # per-batch commit: one loop per queued first-seen key event, then
-    # one drain of the shared forest's event list.
-    "ShardedSpanStore": ("insert_many", "route_batches",
-                         "merge_boundaries", "take_component_events",
-                         "component_spans", "component_ids", "span_list"),
+    # Ingest, the push path's per-batch commit, and the pull read path:
+    # a trace query is one forest find and one intersection with the id
+    # map, and a range read one slice per overlapping time segment, so
+    # a per-member probe or a per-segment sort there is a query-rate
+    # regression.  ShardedSpanStore binds the same implementations; its
+    # names stay seeded for any it defines itself.
+    "SpanStore": ("insert_many", "take_component_events",
+                  "component_spans", "component_ids", "span_list"),
+    "ShardedSpanStore": ("insert_many", "merge_boundaries",
+                         "take_component_events", "component_spans",
+                         "component_ids", "span_list"),
     "TraceGraphIndex": ("link_batch",),
     "DeepFlowAgent": ("poll", "_process_event", "_resolve_handler",
                       "_process_coroutine_event", "_process_close_event",
@@ -125,12 +125,12 @@ ALLOC_FREE_SEEDS: dict[str, tuple[str, ...]] = {
     "TokenBucket": ("allow",),
     "HeadSampler": ("admit",),
     "OverloadController": ("tick",),
-    # The shard router runs once per ingested span; its integer-axis
-    # fast path must stay allocation-free (the tuple-key fallback lives
-    # in the cold _slow_route_hash helper, deliberately not listed).
-    "ShardedSpanStore": ("_route",),
+    # Ingest runs its duplicate and time-segment checks once per span;
+    # the whole body stays allocation-free (the segment drop it may
+    # call, at most once per window, lives in the cold _expire helper).
+    "SpanStore": ("insert_many",),
     # Pipeline self-metrics increments are sprinkled through every
-    # ingest stage (agent poll/ship, shard routing, server ingest,
+    # ingest stage (agent poll/ship, store ingest, server ingest,
     # continuous assembly), so an allocation creeping into one taxes
     # the whole pipeline at span rate.
     "Counter": ("inc",),
