@@ -139,16 +139,22 @@ def test_scale_fast_path_vs_reference(benchmark):
                      for s in collect_iterative(store, start).spans}
         assert fast == reference
 
-    clock = time.perf_counter()
-    for start in starts:
-        found = collect_iterative(store, start)
-    reference_seconds = (time.perf_counter() - clock) / len(starts)
+    # Each side is the best of three passes: one pass that a busy host
+    # slows must not decide the ratio.
+    reference_seconds = fast_seconds = float("inf")
+    for _ in range(3):
+        clock = time.perf_counter()
+        for start in starts:
+            found = collect_iterative(store, start)
+        reference_seconds = min(reference_seconds,
+                                (time.perf_counter() - clock) / len(starts))
     iterations = found.rounds
-
-    clock = time.perf_counter()
-    for start in starts:
-        store.component_spans(start)
-    fast_seconds = (time.perf_counter() - clock) / len(starts)
+    for _ in range(3):
+        clock = time.perf_counter()
+        for start in starts:
+            store.component_spans(start)
+        fast_seconds = min(fast_seconds,
+                           (time.perf_counter() - clock) / len(starts))
     speedup = reference_seconds / fast_seconds
 
     benchmark.pedantic(lambda: store.component_spans(starts[0]),

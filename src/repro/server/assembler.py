@@ -43,9 +43,14 @@ class TraceAssembler:
     """Assembles traces from the span store on demand.
 
     The *store* is the server's one :class:`repro.server.sharding.
-    ShardedSpanStore` (or a bare :class:`SpanStore`): the assembler only
-    needs ``component_spans`` — one ``find`` in the forest, then the
-    component's rows out of the id map.
+    ShardedSpanStore` (or a bare :class:`SpanStore`): the assembler
+    needs ``component_key`` and ``component_spans`` — one ``find`` in
+    the forest, then the component's rows out of the id map.
+
+    Parent assignment is memoized per root, keyed by the component's
+    size and the ablation switches: the forest only grows, so ``(root,
+    size)`` names one membership.  A segment drop replaces
+    ``store.graph``, and the whole memo goes with it.
     """
 
     def __init__(self, store: "SpanStore",
@@ -55,13 +60,34 @@ class TraceAssembler:
         #: Ablation switches (benchmarks/test_ablations.py).
         self.enable_queue_relay = enable_queue_relay
         self.enable_x_request_id = enable_x_request_id
+        #: root → ``(size, switches, ordered spans, their parent ids)``,
+        #: valid for the forest in ``_graph``.
+        self._memo: dict[int, tuple] = {}
+        self._graph = store.graph
 
     def assemble(self, start_span_id: int) -> Trace:
         """The trace containing *start_span_id*: read its component out
-        of the store's union-find, set parents, sort."""
-        return build_trace(self.store.component_spans(start_span_id),
-                           enable_queue_relay=self.enable_queue_relay,
-                           enable_x_request_id=self.enable_x_request_id)
+        of the store's union-find, set parents, sort.  A memo hit writes
+        the parents found then back onto the spans instead (the push
+        path may have re-parented a fragment of them since)."""
+        store = self.store
+        root, size = store.component_key(start_span_id)
+        if store.graph is not self._graph:
+            self._graph = store.graph
+            self._memo = {}
+        switches = (self.enable_queue_relay, self.enable_x_request_id)
+        hit = self._memo.get(root)
+        if hit is not None and hit[0] == size and hit[1] == switches:
+            ordered = hit[2]
+            for span, parent_id in zip(ordered, hit[3]):
+                span.parent_id = parent_id
+            return Trace._from_ordered(list(ordered))
+        ordered = assign_parents(store.component_spans(start_span_id),
+                                 enable_queue_relay=switches[0],
+                                 enable_x_request_id=switches[1])
+        self._memo[root] = (size, switches, tuple(ordered),
+                            [span.parent_id for span in ordered])
+        return Trace._from_ordered(ordered)
 
 
 def build_trace(spans: list[Span], **rule_switches: bool) -> Trace:

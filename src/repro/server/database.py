@@ -45,7 +45,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from repro.core.metrics import PipelineMetrics
-from repro.core.span import Span
+from repro.core.span import Span, SpanSide
 from repro.server.index import (QUEUE_RELAY_PROTOCOLS, TraceGraphIndex,
                                 association_keys)
 
@@ -83,6 +83,9 @@ class SpanStore:
         #: run of ``(start_time, span_id, span)``, in key order.  Ids are
         #: unique store-wide, so spans are never compared.
         self._segments: dict[float, list[tuple[float, int, Span]]] = {}
+        #: segment key → side → ``(duration, entry)`` of the segment's
+        #: slowest span of that side (the first in run order on a tie).
+        self._slowest: dict[float, dict[SpanSide, tuple]] = {}
         self.window = DEFAULT_WINDOW
         #: Segments kept behind the newest one; a plain store keeps all.
         self._retention = math.inf
@@ -326,9 +329,20 @@ class SpanStore:
             lo = hi
 
     def _extend_run(self, key: float, entries: list[tuple]) -> None:
-        """Append sorted *entries* to segment *key*'s run.  ``list.sort``
-        is adaptive: an out-of-order slice leaves two sorted runs, which
-        Timsort merges in O(n) comparisons."""
+        """Append sorted *entries* to segment *key*'s run and update its
+        slowest span per side.  ``list.sort`` is adaptive: an
+        out-of-order slice leaves two sorted runs, which Timsort merges
+        in O(n) comparisons."""
+        maxima = self._slowest.setdefault(key, {})
+        for entry in entries:
+            span = entry[2]
+            side = span.side
+            duration = span.end_time - entry[0]
+            best = maxima.get(side)
+            # Ties go to the earlier entry, as ``max`` over the run would.
+            if (best is None or duration > best[0]
+                    or duration == best[0] and entry < best[1]):
+                maxima[side] = (duration, entry)
         segments = self._segments
         run = segments.get(key)
         if run is not None:
@@ -379,12 +393,14 @@ class SpanStore:
         self._commit_keys()
         self._commit_time_index()
         segments = self._segments
+        slowest = self._slowest
         spans_map = self._spans
         axes = self._axes()
         expired = [key for key in segments if key < floor]
         dropped = 0
         for key in expired:
             run = segments.pop(key)
+            del slowest[key]
             dropped += len(run)
             for _start, span_id, span in run:
                 del spans_map[span_id]
@@ -491,6 +507,14 @@ class SpanStore:
         self._commit_keys()
         return self.graph.component(span_id)
 
+    def component_key(self, span_id: int) -> tuple[int, int]:
+        """:meth:`TraceGraphIndex.component_key` in the current
+        ``graph``, with pending keys committed first."""
+        if span_id not in self._spans:
+            raise KeyError(f"unknown span id {span_id}")
+        self._commit_keys()
+        return self.graph.component_key(span_id)
+
     def component_spans(self, span_id: int) -> list[Span]:
         """Fast path: every span in *span_id*'s trace component."""
         return self.spans_of(self.component_ids(span_id))
@@ -523,3 +547,31 @@ class SpanStore:
         if predicate is not None:
             spans = [span for span in spans if predicate(span)]
         return spans
+
+    def slowest_span(self, side: SpanSide, start: float = 0.0,
+                     end: float = math.inf) -> Optional[Span]:
+        """The longest span of *side* with start_time in [start, end),
+        the first in :meth:`span_list` order of equal ones: the kept
+        maximum of every segment the range covers, a scan of the slice
+        of the (at most two) segments it covers in part."""
+        self._commit_time_index()
+        low = (start, -1)
+        high = (end, -1)
+        slowest = self._slowest
+        best = None
+        best_duration = -math.inf
+        for key, run in self._segments.items():
+            if run[-1][0] < start:
+                continue
+            if run[0][0] >= end:
+                break
+            if low <= run[0] and run[-1] < high:
+                kept = slowest[key].get(side)
+                if kept is not None and kept[0] > best_duration:
+                    best_duration, best = kept[0], kept[1][2]
+                continue
+            for _start, _span_id, span in run[bisect.bisect_left(run, low):
+                                                bisect.bisect_left(run, high)]:
+                if span.side is side and span.duration > best_duration:
+                    best_duration, best = span.duration, span
+        return best

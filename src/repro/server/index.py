@@ -160,11 +160,25 @@ class TraceGraphIndex:
         set — treat it as read-only; it is updated in place by later
         inserts.  Callers that need a snapshot copy it.
         """
+        root = self._find(span_id)
+        return {span_id} if root is None else self._members[root]
+
+    def component_key(self, span_id: int) -> tuple[int, int]:
+        """``(root, size)`` of *span_id*'s component.  Every merge or
+        join raises the surviving root's size, so in a forest that only
+        grows one pair names exactly one membership."""
+        root = self._find(span_id)
+        if root is None:
+            return span_id, 1
+        return root, len(self._members[root])
+
+    def _find(self, span_id: int) -> Optional[int]:
+        """*span_id*'s root, halving the path; None for a singleton."""
         parent = self._parent
         root = parent.get(span_id)
         if root is None:
-            return {span_id}
+            return None
         while parent[root] != root:
             parent[root] = parent[parent[root]]
             root = parent[root]
-        return self._members[root]
+        return root

@@ -295,9 +295,7 @@ class DeepFlowServer:
     def slowest_span(self, side: SpanSide = SpanSide.CLIENT,
                      start: float = 0.0,
                      end: float = float("inf")) -> Optional[Span]:
-        """The user's typical starting point: a time-consuming invocation."""
-        spans = [span for span in self.store.span_list(start, end)
-                 if span.side is side]
-        if not spans:
-            return None
-        return max(spans, key=lambda span: span.duration)
+        """The user's typical starting point: a time-consuming invocation
+        (the first in span-list order of equal ones), read from the time
+        segments' kept maxima."""
+        return self.store.slowest_span(side, start, end)

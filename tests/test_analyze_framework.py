@@ -487,6 +487,53 @@ def test_hot_path_covers_the_pull_read_path(tmp_path):
                      ("trace", "hp-alloc-in-loop")], report.findings
 
 
+def test_hot_path_covers_the_memo_and_the_segment_maxima(tmp_path):
+    """The memoized trace query and the slowest-span read are seeds: a
+    per-span copy in ``assemble``'s write-back, a re-loaded attribute in
+    the forest's ``component_key`` walk and in the per-entry maxima
+    update that the slowest-span read reaches through the time commit
+    are findings."""
+    root = _seed_tree(tmp_path, {
+        "server/assembler.py": '''
+            class TraceAssembler:
+                def assemble(self, span_id):
+                    hit = self.memo[span_id]
+                    for span, parent_id in zip(hit[0], hit[1]):
+                        span.parent_id = parent_id
+                        span.tags = dict(span.tags)
+                    return hit[0]
+            ''',
+        "server/index.py": '''
+            class TraceGraphIndex:
+                def component_key(self, span_id):
+                    while self._parent[span_id] != span_id:
+                        span_id = self._parent[self._parent[span_id]]
+                    return span_id, 1
+            ''',
+        "server/database.py": '''
+            class SpanStore:
+                def slowest_span(self, side, start, end):
+                    self._commit_time_index()
+                    return self._slowest
+
+                def _commit_time_index(self):
+                    self._extend_run(0, self._tail)
+
+                def _extend_run(self, key, entries):
+                    for entry in entries:
+                        best = self._slowest[key].get(entry[2].side)
+                        if best is None:
+                            self._slowest[key][entry[2].side] = entry
+            ''',
+    })
+    report = _analyze(root, ["hot-path"])
+    found = sorted((f.function.rsplit(".", 1)[-1], f.rule)
+                   for f in report.findings)
+    assert found == [("_extend_run", "hp-attr-in-loop"),
+                     ("assemble", "hp-alloc-in-loop"),
+                     ("component_key", "hp-attr-in-loop")], report.findings
+
+
 def test_hot_path_covers_the_front_half_per_event_bodies(tmp_path):
     """The per-event seeds have no loop of their own — the simulator's
     run loop is their loop — so their whole bodies are checked for what

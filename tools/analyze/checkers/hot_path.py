@@ -70,16 +70,22 @@ CHECKER_NAME = "hot-path"
 HOT_SEEDS: dict[str, tuple[str, ...]] = {
     # Ingest, the push path's per-batch commit, and the pull read path:
     # a trace query is one forest find and one intersection with the id
-    # map, and a range read one slice per overlapping time segment, so
-    # a per-member probe or a per-segment sort there is a query-rate
-    # regression.  ShardedSpanStore binds the same implementations; its
-    # names stay seeded for any it defines itself.
+    # map (or, on a memo hit, one find and a parent write-back), and a
+    # range read one slice per overlapping time segment, so a per-member
+    # probe or a per-segment sort there is a query-rate regression.  The
+    # slowest-span read reaches the time commit, whose per-entry maxima
+    # update in ``_extend_run`` is a loop body of this closure.
+    # ShardedSpanStore binds the same implementations; its names stay
+    # seeded for any it defines itself.
     "SpanStore": ("insert_many", "take_component_events",
-                  "component_spans", "component_ids", "span_list"),
+                  "component_spans", "component_ids", "component_key",
+                  "span_list", "slowest_span"),
     "ShardedSpanStore": ("insert_many", "merge_boundaries",
                          "take_component_events", "component_spans",
-                         "component_ids", "span_list"),
-    "TraceGraphIndex": ("link_batch",),
+                         "component_ids", "component_key", "span_list",
+                         "slowest_span"),
+    "TraceGraphIndex": ("link_batch", "component_key"),
+    "TraceAssembler": ("assemble",),
     "DeepFlowAgent": ("poll", "_process_event", "_resolve_handler",
                       "_process_coroutine_event", "_process_close_event",
                       "_process_uprobe_record", "_process_syscall_record",
