@@ -19,7 +19,7 @@ from typing import Optional
 from repro.core.ids import IdAllocator
 from repro.core.span import Span, SpanKind, SpanSide
 from repro.network.captures import PacketRecord
-from repro.protocols.base import MessageType
+from repro.protocols.base import MessageType, third_party_trace_id
 from repro.protocols.inference import ProtocolInferenceEngine
 
 
@@ -89,18 +89,6 @@ class FlowSpanBuilder:
             flow_key=req.five_tuple.canonical(),
             req_tcp_seq=req.tcp_seq,
             resp_tcp_seq=resp.tcp_seq,
-            otel_trace_id=_otel_trace_id(req_parsed),
+            otel_trace_id=third_party_trace_id(req_parsed.headers),
             tags=dict(req.device_tags),
         )
-
-
-def _otel_trace_id(parsed) -> Optional[str]:
-    traceparent = parsed.traceparent
-    if traceparent:
-        parts = traceparent.split("-")
-        if len(parts) >= 3:
-            return parts[1]
-    b3 = parsed.b3
-    if b3:
-        return b3.split("-")[0]
-    return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.span import Span, SpanKind, Trace
+from repro.core.span import MESSAGING_PROTOCOLS, Span, SpanKind, Trace
 from repro.network.topology import Cluster, Device
 
 
@@ -106,7 +106,7 @@ def diagnose(trace: Optional[Trace], cluster: Optional[Cluster] = None,
     # 2./3. Protocol-level evidence from error spans.
     error_spans = trace.errors()
     middleware = [span for span in error_spans
-                  if span.protocol in ("amqp", "kafka", "mqtt")]
+                  if span.protocol in MESSAGING_PROTOCOLS]
     if middleware:
         # The broker-side span names the culprit pod; a client-side span
         # only names the victim.

@@ -33,7 +33,8 @@ from math import isfinite
 from typing import Any, Callable, Optional
 
 from repro.core.metrics import PipelineMetrics
-from repro.core.span import Span, SpanKind, SpanSide, Trace
+from repro.core.span import (MESSAGING_PROTOCOLS, Span, SpanKind, SpanSide,
+                             Trace)
 
 #: Scope identity stamped on every exported payload.
 SCOPE_NAME = "repro.deepflow"
@@ -47,10 +48,6 @@ SPAN_KIND_VALUES = frozenset({
 STATUS_CODE_VALUES = frozenset({
     "STATUS_CODE_UNSET", "STATUS_CODE_OK", "STATUS_CODE_ERROR",
 })
-
-#: Message-queue protocols whose client/server sides map to the OTLP
-#: producer/consumer span kinds instead of client/server.
-MESSAGING_PROTOCOLS = frozenset({"amqp", "kafka", "mqtt"})
 
 #: Exact attribute keys the ``otlp-json`` exporter may emit, with their
 #: OTLP value type.  ``net.host.name`` / ``http.*`` follow the OBI

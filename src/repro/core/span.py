@@ -27,6 +27,12 @@ from typing import Iterator, Optional
 #: its spans in and ``repro.server.assembler``'s parent rules consume.
 CANONICAL_ORDER = attrgetter("start_time", "span_id")
 
+#: Message-queue protocols.  A ``(protocol, resource, message id)``
+#: triple names one message across a broker relay (the queue-relay
+#: association axis), and their client/server sides export as the OTLP
+#: producer/consumer span kinds.
+MESSAGING_PROTOCOLS = frozenset({"amqp", "kafka", "mqtt"})
+
 
 class SpanKind(enum.Enum):
     """Data source that produced a span."""

@@ -65,6 +65,20 @@ class ParsedMessage:
         return self.status == "error"
 
 
+def third_party_trace_id(headers: dict[str, str]) -> Optional[str]:
+    """The trace id a third-party tracer propagated in *headers*: field 2
+    of a W3C ``traceparent``, else the prefix of a Zipkin ``b3``."""
+    traceparent = headers.get("traceparent")
+    if traceparent:
+        parts = traceparent.split("-")
+        if len(parts) >= 3:
+            return parts[1]
+    b3 = headers.get("b3")
+    if b3:
+        return b3.split("-")[0]
+    return None
+
+
 class ProtocolSpec(abc.ABC):
     """One protocol's inference + parsing logic.
 

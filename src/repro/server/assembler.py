@@ -25,9 +25,9 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Optional
 
-from repro.core.span import (CANONICAL_ORDER, Span, SpanKind, SpanSide,
-                             Trace)
-from repro.server.database import QUEUE_RELAY_PROTOCOLS, SpanStore
+from repro.core.span import (CANONICAL_ORDER, MESSAGING_PROTOCOLS, Span,
+                             SpanKind, SpanSide, Trace)
+from repro.server.database import SpanStore
 
 #: Slack allowed when comparing intervals across hosts (clock skew &
 #: capture-position effects), seconds.
@@ -118,8 +118,8 @@ def assign_parents(spans: list[Span], *, enable_queue_relay: bool = True,
     by_id: dict[int, Span] = {}
     #: message key → [first eBPF client, first eBPF server, network spans]
     groups: dict[tuple, list] = {}
-    servers_by_systrace: dict[int, Span] = {}
-    servers_by_xreq: dict[tuple, Span] = {}
+    systrace_servers: dict[int, Span] = {}
+    xreq_servers: dict[tuple, Span] = {}
     publishes: dict[tuple, Span] = {}
     clients: list[Span] = []   # client-side eBPF spans
     relays: list[Span] = []    # client-side queue-relay spans
@@ -150,27 +150,27 @@ def assign_parents(spans: list[Span], *, enable_queue_relay: bool = True,
         if side is server_side:
             value = span.systrace_id
             if value is not None:
-                servers_by_systrace.setdefault(value, span)
+                systrace_servers.setdefault(value, span)
             value = span.x_request_id
             if value:
-                servers_by_xreq.setdefault((span.host, span.pid, value), span)
+                xreq_servers.setdefault((span.host, span.pid, value), span)
             if (span.message_id is not None
-                    and span.protocol in QUEUE_RELAY_PROTOCOLS):
+                    and span.protocol in MESSAGING_PROTOCOLS):
                 publishes.setdefault(
                     (span.protocol, span.resource, span.message_id), span)
         elif side is client_side:
             if kind in EBPF_KINDS:
                 clients.append(span)
             if (span.message_id is not None
-                    and span.protocol in QUEUE_RELAY_PROTOCOLS):
+                    and span.protocol in MESSAGING_PROTOCOLS):
                 relays.append(span)
         if kind is app_kind:
             app_spans.append(span)
     _chain_message_groups(groups)
     if app_spans:
         _apply_app_rules(ordered, app_spans, clients, by_id)
-    _apply_intra_component_rules(clients, servers_by_systrace,
-                                 servers_by_xreq if enable_x_request_id
+    _apply_intra_component_rules(clients, systrace_servers,
+                                 xreq_servers if enable_x_request_id
                                  else None, by_id)
     if enable_queue_relay and publishes and relays:
         _apply_queue_relay_rules(relays, publishes, by_id)
@@ -280,8 +280,8 @@ def _apply_app_rules(spans: list[Span], app_spans: list[Span],
 
 
 def _apply_intra_component_rules(
-        clients: list[Span], servers_by_systrace: dict[int, Span],
-        servers_by_xreq: Optional[dict[tuple, Span]],
+        clients: list[Span], systrace_servers: dict[int, Span],
+        xreq_servers: Optional[dict[tuple, Span]],
         by_id: dict[int, Span]) -> None:
     """Rules 8–10: intra-component association.
 
@@ -289,7 +289,7 @@ def _apply_intra_component_rules(
           systrace_id (thread/pseudo-thread association, Fig 7(a))
       R9  client-side eBPF span ← server-side span with the same
           X-Request-ID on the same host+pid (cross-thread association);
-          *servers_by_xreq* is None when the ablation switch is off
+          *xreq_servers* is None when the ablation switch is off
       R10 server-side eBPF span with no inter-component parent stays a
           root (external caller)
     Of several server spans carrying one key the canonically first is
@@ -300,10 +300,10 @@ def _apply_intra_component_rules(
             continue
         parent = None
         if span.systrace_id is not None:
-            parent = servers_by_systrace.get(span.systrace_id)
+            parent = systrace_servers.get(span.systrace_id)
         if (parent is None and span.x_request_id
-                and servers_by_xreq is not None):
-            parent = servers_by_xreq.get(
+                and xreq_servers is not None):
+            parent = xreq_servers.get(
                 (span.host, span.pid, span.x_request_id))
         if parent is not None and not _creates_cycle(span, parent, by_id):
             # Cycle guard: the chain rules may already have put the

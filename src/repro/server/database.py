@@ -4,12 +4,13 @@ The server's store is :class:`repro.server.sharding.ShardedSpanStore`,
 this class with a retention depth; filtering span lists by tenant is the
 server's job.
 
-Every association key of Algorithm 1 (systrace_id, pseudo-thread,
-X-Request-ID, per-flow TCP sequence, third-party trace id, queue message
-key) has a per-axis posting map, and the same keys feed an incremental
-union-find (:class:`repro.server.index.TraceGraphIndex`), so trace
-membership is answered without iterating at all; the paper's iterative
-search (:mod:`repro.server.reference`) reads the postings through
+Every association key of Algorithm 1, as
+:func:`repro.server.index.association_keys` defines them, has a posting
+— the spans that carry it — in one map from axis to raw identifier, and
+the same keys feed an incremental union-find
+(:class:`repro.server.index.TraceGraphIndex`), so trace membership is
+answered without iterating at all; the paper's iterative search
+(:mod:`repro.server.reference`) reads the postings through
 :meth:`SpanStore.carriers`.
 
 Span lists (the Fig 15 workload) read **time segments**, the way
@@ -25,31 +26,30 @@ Ingest is the hot path — every span the fleet of agents ships lands in
 :meth:`SpanStore.insert_many` — so the store is write-optimized the way
 an LSM memtable is: an insert only registers the span (id map, for
 duplicate detection and ``get``) and appends it to an unindexed *tail*.
-All index maintenance — posting maps, the union-find, the segments'
+All index maintenance — the postings, the union-find, the segments'
 time runs — happens in commit passes that each query triggers for
 exactly the tail it needs, one fused pass per batch of inserts.  The
-commit loop uses raw identifier keys (an int systrace id hashes in a
-fraction of the time a tagged tuple does), inlines the axis checks from
-:func:`repro.server.index.association_keys` (the property test holds the
-two definitions in lock step), and hands union-find merges to
-:meth:`TraceGraphIndex.link_batch` as (new span, existing carrier)
-pairs.  :meth:`SpanStore.flush` forces both commits, letting benchmarks
-price ingest, index commit, and queries separately.
+key commit files each key under its raw identifier in its axis's map (an
+int systrace id hashes in a fraction of the time a tagged tuple does)
+and hands union-find merges to :meth:`TraceGraphIndex.link_batch` as
+(new span, existing carrier) pairs.  :meth:`SpanStore.flush` forces both
+commits, letting benchmarks price ingest, index commit, and queries
+separately.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import defaultdict
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from repro.core.metrics import PipelineMetrics
 from repro.core.span import Span, SpanSide
-from repro.server.index import (QUEUE_RELAY_PROTOCOLS, TraceGraphIndex,
-                                association_keys)
+from repro.server.index import TraceGraphIndex, association_keys
 
-__all__ = ["DEFAULT_WINDOW", "QUEUE_RELAY_PROTOCOLS", "SpanStore"]
+__all__ = ["DEFAULT_WINDOW", "SpanStore"]
 
 #: Default time-segment width, seconds: the agent's default session slot.
 DEFAULT_WINDOW = 60.0
@@ -66,19 +66,14 @@ class SpanStore:
 
     def __init__(self, metrics: Optional[PipelineMetrics] = None) -> None:
         self._spans: dict[int, Span] = {}
-        # Per-axis posting maps, raw identifier → posting.  Raw keys
-        # (int/str/tuple) hash faster than tagged tuples; the tags are
-        # only needed where axes meet (:meth:`carriers`).  A posting
-        # starts as a bare span id and is promoted to a set on its
-        # first collision — most keys (e.g. per-flow TCP sequences) are
-        # carried by exactly one span, and skipping the singleton set
-        # allocation is a measurable share of the ingest budget.
-        self._by_sys: dict[int, object] = {}
-        self._by_pt: dict[tuple, object] = {}
-        self._by_xr: dict[str, object] = {}
-        self._by_fs: dict[tuple, object] = {}
-        self._by_ot: dict[str, object] = {}
-        self._by_mq: dict[tuple, object] = {}
+        #: axis tag → raw identifier → posting, the keys being the
+        #: ``(tag, value)`` pairs of :func:`association_keys`.  Raw
+        #: identifiers (int/str/tuple) hash faster than the tagged pair.
+        #: A posting starts as a bare span id and is promoted to a set on
+        #: its first collision — most keys (e.g. per-flow TCP sequences)
+        #: are carried by exactly one span, and skipping the singleton
+        #: set allocation is a measurable share of the ingest budget.
+        self._postings: defaultdict[str, dict] = defaultdict(dict)
         #: segment key (``start_time // window``) → that window's sorted
         #: run of ``(start_time, span_id, span)``, in key order.  Ids are
         #: unique store-wide, so spans are never compared.
@@ -185,108 +180,29 @@ class SpanStore:
     # -- index commits -----------------------------------------------------
 
     def _commit_keys(self) -> None:
-        """Index the tail's association keys (axes + union-find).
+        """Index the tail's association keys (postings + union-find).
 
-        The per-axis branches below are the inlined form of
-        :func:`repro.server.index.association_keys`; keep them in sync
-        (tests/test_trace_index_properties.py proves the equivalence).
-        Each branch is the same shape: a missing posting is created as a
-        bare span id, a scalar posting is promoted to a set, and either
-        collision case records one (new span, existing carrier) link.
+        A missing posting is created as a bare span id, a scalar posting
+        is promoted to a set, and either collision records one (new
+        span, existing carrier) link.
         """
         tail = self._tail
         start = self._keys_committed
         if start == len(tail):
             return
-        by_sys = self._by_sys
-        by_pt = self._by_pt
-        by_xr = self._by_xr
-        by_fs = self._by_fs
-        by_ot = self._by_ot
-        by_mq = self._by_mq
+        postings = self._postings
         links: list[tuple[int, int]] = []
         links_append = links.append
         for span in tail[start:]:
             span_id = span.span_id
-            value = span.systrace_id
-            if value is not None:
-                ids = by_sys.get(value)
+            for tag, value in association_keys(span):
+                axis = postings[tag]
+                ids = axis.get(value)
                 if ids is None:
-                    by_sys[value] = span_id
+                    axis[value] = span_id
                 elif ids.__class__ is int:
                     links_append((span_id, ids))
-                    by_sys[value] = {ids, span_id}
-                else:
-                    links_append((span_id, next(iter(ids))))
-                    ids.add(span_id)
-            value = span.pseudo_thread_key
-            if value:
-                ids = by_pt.get(value)
-                if ids is None:
-                    by_pt[value] = span_id
-                elif ids.__class__ is int:
-                    links_append((span_id, ids))
-                    by_pt[value] = {ids, span_id}
-                else:
-                    links_append((span_id, next(iter(ids))))
-                    ids.add(span_id)
-            value = span.x_request_id
-            if value:
-                ids = by_xr.get(value)
-                if ids is None:
-                    by_xr[value] = span_id
-                elif ids.__class__ is int:
-                    links_append((span_id, ids))
-                    by_xr[value] = {ids, span_id}
-                else:
-                    links_append((span_id, next(iter(ids))))
-                    ids.add(span_id)
-            flow = span.flow_key
-            if flow is not None:
-                seq = span.req_tcp_seq
-                if seq is not None:
-                    value = (flow, "q", seq)
-                    ids = by_fs.get(value)
-                    if ids is None:
-                        by_fs[value] = span_id
-                    elif ids.__class__ is int:
-                        links_append((span_id, ids))
-                        by_fs[value] = {ids, span_id}
-                    else:
-                        links_append((span_id, next(iter(ids))))
-                        ids.add(span_id)
-                seq = span.resp_tcp_seq
-                if seq is not None:
-                    value = (flow, "p", seq)
-                    ids = by_fs.get(value)
-                    if ids is None:
-                        by_fs[value] = span_id
-                    elif ids.__class__ is int:
-                        links_append((span_id, ids))
-                        by_fs[value] = {ids, span_id}
-                    else:
-                        links_append((span_id, next(iter(ids))))
-                        ids.add(span_id)
-            value = span.otel_trace_id
-            if value:
-                ids = by_ot.get(value)
-                if ids is None:
-                    by_ot[value] = span_id
-                elif ids.__class__ is int:
-                    links_append((span_id, ids))
-                    by_ot[value] = {ids, span_id}
-                else:
-                    links_append((span_id, next(iter(ids))))
-                    ids.add(span_id)
-            if (span.message_id is not None
-                    and span.protocol in QUEUE_RELAY_PROTOCOLS):
-                value = (span.protocol, span.resource, span.message_id)
-                ids = by_mq.get(value)
-                if ids is None:
-                    by_mq[value] = span_id
-                elif ids.__class__ is int:
-                    links_append((span_id, ids))
-                    by_mq[value] = {ids, span_id}
+                    axis[value] = {ids, span_id}
                 else:
                     links_append((span_id, next(iter(ids))))
                     ids.add(span_id)
@@ -374,7 +290,7 @@ class SpanStore:
         self._commit_time_index()
 
     def commit_keys(self) -> None:
-        """Force only the key-index commit (axes + union-find), leaving
+        """Force only the key-index commit (postings + union-find), leaving
         the time runs deferred — the trace-path subset of :meth:`flush`."""
         self._commit_keys()
 
@@ -395,7 +311,7 @@ class SpanStore:
         segments = self._segments
         slowest = self._slowest
         spans_map = self._spans
-        axes = self._axes()
+        postings = self._postings
         expired = [key for key in segments if key < floor]
         dropped = 0
         for key in expired:
@@ -405,19 +321,19 @@ class SpanStore:
             for _start, span_id, span in run:
                 del spans_map[span_id]
                 for tag, value in association_keys(span):
-                    postings = axes[tag]
-                    ids = postings[value]
+                    axis = postings[tag]
+                    ids = axis[value]
                     if ids.__class__ is int:
-                        del postings[value]
+                        del axis[value]
                     else:
                         ids.discard(span_id)
                         if len(ids) == 1:
-                            postings[value] = ids.pop()
+                            axis[value] = ids.pop()
         self._oldest = min(segments, default=math.inf)
         links: list[tuple[int, int]] = []
         links_append = links.append
-        for postings in axes.values():
-            for ids in postings.values():
+        for axis in postings.values():
+            for ids in axis.values():
                 if ids.__class__ is not int:
                     carriers = iter(ids)
                     first = next(carriers)
@@ -473,11 +389,6 @@ class SpanStore:
 
     # -- Algorithm 1 support -------------------------------------------------
 
-    def _axes(self) -> dict[str, dict]:
-        """Tag → posting map, the tags of :func:`association_keys`."""
-        return {"sys": self._by_sys, "pt": self._by_pt, "xr": self._by_xr,
-                "fs": self._by_fs, "ot": self._by_ot, "mq": self._by_mq}
-
     def carriers(self, tagged_keys: Iterable[tuple]) -> set[int]:
         """Ids of the spans carrying any of *tagged_keys* —
         ``(tag, value)`` pairs as :func:`repro.server.index.
@@ -486,10 +397,10 @@ class SpanStore:
         reference search (:mod:`repro.server.reference`) asks each round.
         """
         self._commit_keys()
-        axes = self._axes()
+        postings = self._postings
         result: set[int] = set()
         for tag, value in tagged_keys:
-            ids = axes[tag].get(value)
+            ids = postings[tag].get(value)
             if ids is None:
                 continue
             if ids.__class__ is int:

@@ -15,6 +15,10 @@ every later span with the same key is unioned into that span's set.
 Trace membership then becomes a near-O(α) ``find`` plus a component
 read-out — no iteration, no per-query filter construction.
 
+:func:`association_keys` is the one definition of the axes: the span
+store's key commit, its segment drop and its ``carriers`` lookup, and
+the iterative search, all read a span's keys from it.
+
 Spans that never share a key with anyone are kept implicit: they get no
 forest entry at all, and ``component`` answers ``{span_id}`` for them
 directly.  This keeps the ingest hot path from paying forest setup for
@@ -30,19 +34,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-#: Protocols whose (resource, message id) pairs identify a message across
-#: a broker relay — the queue-tracing extension's association axis.
-QUEUE_RELAY_PROTOCOLS = ("amqp", "kafka", "mqtt")
+from repro.core.span import MESSAGING_PROTOCOLS
 
 
 def association_keys(span) -> list[tuple]:
-    """The tagged association keys one span contributes to Algorithm 1.
-
-    This is the reference definition of the association axes, used by
-    :func:`repro.server.reference.collect_iterative` (the iterative
-    path); the span store's fused ingest loop inlines the same checks
-    per axis and the fast-vs-reference property test holds the two in
-    lock step.  Tags keep the per-axis key spaces disjoint:
+    """The tagged association keys one span contributes to Algorithm 1,
+    as ``(tag, raw identifier)`` pairs.  The tag names the axis, and
+    keys only meet keys of the same axis:
 
     ``("sys", id)`` systrace · ``("pt", key)`` pseudo-thread ·
     ``("xr", id)`` X-Request-ID · ``("fs", (flow, leg, seq))`` per-flow
@@ -66,7 +64,7 @@ def association_keys(span) -> list[tuple]:
     if span.otel_trace_id:
         keys.append(("ot", span.otel_trace_id))
     if (span.message_id is not None
-            and span.protocol in QUEUE_RELAY_PROTOCOLS):
+            and span.protocol in MESSAGING_PROTOCOLS):
         keys.append(("mq", (span.protocol, span.resource,
                             span.message_id)))
     return keys
@@ -83,8 +81,8 @@ class TraceGraphIndex:
     store builds a fresh forest from the survivors' postings.
 
     The forest knows nothing about keys: its caller (the span store's
-    key commit) resolves key → carrier through its posting maps and
-    hands over ``(span, carrier)`` pairs.
+    key commit) resolves key → carrier through its postings and hands
+    over ``(span, carrier)`` pairs.
     """
 
     def __init__(self) -> None:

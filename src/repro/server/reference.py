@@ -12,7 +12,7 @@ exists because it *is* the paper's algorithm: Fig 15 times it against
 the span-list scan, the iteration-budget ablation truncates it, and the
 property tests hold the union-find equal to it and to a BFS oracle.
 
-It reads the per-axis postings through one read-only accessor,
+It reads the postings through one read-only accessor,
 ``carriers(tagged_keys)`` of :class:`repro.server.database.SpanStore`
 (and so of the server's :class:`repro.server.sharding.ShardedSpanStore`),
 one lookup per key in the one posting map.

@@ -370,7 +370,7 @@ class TestAgentDegradedPipeline:
         assert (exit_program.effective_instructions
                 == agent.config.trace_instructions)
         # Recovery restores the full program.
-        for step in range(agent.config.overload_hysteresis_ticks):
+        for step in range(agent.overload.hysteresis_ticks):
             agent.overload.tick(0.2 + 0.1 * step, 0.0, 0)
         assert exit_program.effective_instructions == full_instructions
         assert exit_program.system_tax_ns == full_tax

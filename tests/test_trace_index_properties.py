@@ -9,9 +9,11 @@ the ablation flags in every combination.
 
 A third implementation keeps the other two honest: an in-test BFS over
 an adjacency map built straight from
-:func:`repro.server.index.association_keys`.  Because the store's fused
-ingest loop *inlines* those axis checks, this oracle is what detects the
-two definitions drifting apart.
+:func:`repro.server.index.association_keys`, the one definition of the
+axes.  The store files each key under its raw identifier in a per-axis
+map, so the oracle is what detects axes leaking into each other: the
+X-Request-ID and the third-party trace id are drawn from one pool, and
+equal identifiers on those two different axes must not link two spans.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -28,10 +30,10 @@ from repro.server.sharding import ShardedSpanStore
 #: generous iteration budget these tests give it.
 _SYSTRACE = st.none() | st.integers(min_value=0, max_value=5)
 _PTHREAD = st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2))
-_XREQ = st.none() | st.sampled_from(["xa", "xb", "xc"])
+#: X-Request-IDs and third-party trace ids: one pool for both axes.
+_TRACE_ID = st.none() | st.sampled_from(["ta", "tb", "tc"])
 _FLOW = st.none() | st.tuples(st.just("flow"), st.integers(0, 2))
 _SEQ = st.none() | st.integers(min_value=0, max_value=4)
-_OTEL = st.none() | st.sampled_from(["ota", "otb"])
 #: "http" carries a message id but is not a queue-relay protocol, so it
 #: must NOT associate through the mq axis.
 _PROTOCOL = st.sampled_from(["", "http", "amqp", "kafka", "mqtt"])
@@ -57,11 +59,11 @@ def span_lists(draw, min_size=1, max_size=30):
             resource=draw(st.sampled_from(["", "q1", "q2"])),
             systrace_id=draw(_SYSTRACE),
             pseudo_thread_key=draw(_PTHREAD),
-            x_request_id=draw(_XREQ),
+            x_request_id=draw(_TRACE_ID),
             flow_key=draw(_FLOW),
             req_tcp_seq=draw(_SEQ),
             resp_tcp_seq=draw(_SEQ),
-            otel_trace_id=draw(_OTEL),
+            otel_trace_id=draw(_TRACE_ID),
             message_id=draw(_MESSAGE_ID),
         ))
     return spans
