@@ -136,7 +136,8 @@ class Kernel:
 
     def socket_for_fd(self, thread: Thread, fd: int) -> Socket:
         """Resolve *fd* in the thread's process; raises on bad fd."""
-        sock = self._fd_tables.get(thread.pid, {}).get(fd)
+        table = self._fd_tables.get(thread.pid)
+        sock = None if table is None else table.get(fd)
         if sock is None:
             raise KernelError(
                 f"pid {thread.pid} ({thread.process.name}): bad fd {fd}")

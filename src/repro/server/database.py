@@ -15,12 +15,13 @@ answered without iterating at all; the paper's iterative search
 
 Span lists (the Fig 15 workload) read **time segments**, the way
 DeepFlow's ClickHouse tables are partitioned by time: a span's segment
-is ``start_time // window``, and each segment keeps its spans as one
-sorted ``(start_time, span_id, span)`` run.  Segment order is time
-order, so a range read concatenates the slices of the segments it
-overlaps — no merge.  A segment is also the retention unit: once the
-newest span's segment is more than the retention depth past it, the
-segment is dropped whole (:meth:`SpanStore._expire`).
+is ``start_time // window``, and each segment keeps the spans
+themselves as one run sorted by :data:`repro.core.span.CANONICAL_ORDER`
+(``(start_time, span_id)``).  Segment order is time order, so a range
+read concatenates the slices of the segments it overlaps — no merge.  A
+segment is also the retention unit: once the newest span's segment is
+more than the retention depth past it, the segment is dropped whole
+(:meth:`SpanStore._expire`).
 
 Ingest is the hot path — every span the fleet of agents ships lands in
 :meth:`SpanStore.insert_many` — so the store is write-optimized the way
@@ -32,9 +33,11 @@ exactly the tail it needs, one fused pass per batch of inserts.  The
 key commit files each key under its raw identifier in its axis's map (an
 int systrace id hashes in a fraction of the time a tagged tuple does)
 and hands union-find merges to :meth:`TraceGraphIndex.link_batch` as
-(new span, existing carrier) pairs.  :meth:`SpanStore.flush` forces both
-commits, letting benchmarks price ingest, index commit, and queries
-separately.
+(new span, existing carrier) pairs.  A posting is a bare span id while
+one span carries its key and a list of ids, in commit order, once
+several do; a new carrier links to the posting's newest one.
+:meth:`SpanStore.flush` forces both commits, letting benchmarks price
+ingest, index commit, and queries separately.
 """
 
 from __future__ import annotations
@@ -42,11 +45,11 @@ from __future__ import annotations
 import bisect
 import math
 from collections import defaultdict
-from operator import itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from repro.core.metrics import PipelineMetrics
-from repro.core.span import Span, SpanSide
+from repro.core.span import CANONICAL_ORDER, Span, SpanSide
 from repro.server.index import TraceGraphIndex, association_keys
 
 __all__ = ["DEFAULT_WINDOW", "SpanStore"]
@@ -54,7 +57,7 @@ __all__ = ["DEFAULT_WINDOW", "SpanStore"]
 #: Default time-segment width, seconds: the agent's default session slot.
 DEFAULT_WINDOW = 60.0
 
-_SPAN = itemgetter(2)
+_START = attrgetter("start_time")
 
 
 class SpanStore:
@@ -69,16 +72,15 @@ class SpanStore:
         #: axis tag → raw identifier → posting, the keys being the
         #: ``(tag, value)`` pairs of :func:`association_keys`.  Raw
         #: identifiers (int/str/tuple) hash faster than the tagged pair.
-        #: A posting starts as a bare span id and is promoted to a set on
-        #: its first collision — most keys (e.g. per-flow TCP sequences)
-        #: are carried by exactly one span, and skipping the singleton
-        #: set allocation is a measurable share of the ingest budget.
+        #: A posting is a bare span id while one span carries the key —
+        #: most keys (e.g. per-flow TCP sequences) never collide — and a
+        #: list of carrier ids in commit order from its first collision
+        #: on: a two-id list is a third of a two-id set's bytes.
         self._postings: defaultdict[str, dict] = defaultdict(dict)
-        #: segment key (``start_time // window``) → that window's sorted
-        #: run of ``(start_time, span_id, span)``, in key order.  Ids are
-        #: unique store-wide, so spans are never compared.
-        self._segments: dict[float, list[tuple[float, int, Span]]] = {}
-        #: segment key → side → ``(duration, entry)`` of the segment's
+        #: segment key (``start_time // window``) → that window's spans,
+        #: sorted by ``CANONICAL_ORDER``, in key order.
+        self._segments: dict[float, list[Span]] = {}
+        #: segment key → side → ``(duration, span)`` of the segment's
         #: slowest span of that side (the first in run order on a tie).
         self._slowest: dict[float, dict[SpanSide, tuple]] = {}
         self.window = DEFAULT_WINDOW
@@ -182,9 +184,11 @@ class SpanStore:
     def _commit_keys(self) -> None:
         """Index the tail's association keys (postings + union-find).
 
-        A missing posting is created as a bare span id, a scalar posting
-        is promoted to a set, and either collision records one (new
-        span, existing carrier) link.
+        A missing posting is created as a bare span id, a bare id becomes
+        a ``[first, new]`` list on its first collision and a list is
+        appended to.  Either collision records one (new span, newest
+        carrier) link: a span that shares a key only with stragglers of
+        a retired trace joins the newest straggler's fragment.
         """
         tail = self._tail
         start = self._keys_committed
@@ -202,10 +206,10 @@ class SpanStore:
                     axis[value] = span_id
                 elif ids.__class__ is int:
                     links_append((span_id, ids))
-                    axis[value] = {ids, span_id}
+                    axis[value] = [ids, span_id]
                 else:
-                    links_append((span_id, next(iter(ids))))
-                    ids.add(span_id)
+                    links_append((span_id, ids[-1]))
+                    ids.append(span_id)
         self._keys_committed = len(tail)
         if links:
             self.graph.link_batch(links)
@@ -214,61 +218,69 @@ class SpanStore:
     def _commit_time_index(self) -> None:
         """Merge the tail into the segments' sorted time runs.
 
-        Sort entries are only built here, so ingest pays a plain list
-        append per span.  The sorted entries are cut into one slice per
-        segment they cover — usually one — and each slice is appended to
-        its segment's run (:meth:`_extend_run`).
+        Ingest pays a plain list append per span; the sort happens here,
+        over the new tail slice only.  The sorted spans are cut into one
+        slice per segment they cover — usually one — and each slice
+        joins its segment's run (:meth:`_extend_run`).
         """
         tail = self._tail
         start = self._time_committed
         if start == len(tail):
             return
-        entries = [(span.start_time, span.span_id, span)
-                   for span in tail[start:]]
-        entries.sort()
+        spans = tail[start:]
+        spans.sort(key=CANONICAL_ORDER)
         self._time_committed = len(tail)
         self._shrink_tail()
         window = self.window
-        count = len(entries)
-        last = entries[-1][0] // window
+        count = len(spans)
+        last = spans[-1].start_time // window
         lo = 0
         while lo < count:
-            key = entries[lo][0] // window
+            key = spans[lo].start_time // window
             if key == last:
                 hi = count
             else:
                 hi = bisect.bisect_left(
-                    entries, key + 1, lo, count,
-                    key=lambda entry: entry[0] // window)
-            self._extend_run(key, entries[lo:hi] if lo or hi < count
-                             else entries)
+                    spans, key + 1, lo, count,
+                    key=lambda span: span.start_time // window)
+            self._extend_run(key, spans[lo:hi] if lo or hi < count
+                             else spans)
             lo = hi
 
-    def _extend_run(self, key: float, entries: list[tuple]) -> None:
-        """Append sorted *entries* to segment *key*'s run and update its
-        slowest span per side.  ``list.sort`` is adaptive: an
-        out-of-order slice leaves two sorted runs, which Timsort merges
-        in O(n) comparisons."""
-        maxima = self._slowest.setdefault(key, {})
-        for entry in entries:
-            span = entry[2]
+    def _extend_run(self, key: float, spans: list[Span]) -> None:
+        """Join sorted *spans* to segment *key*'s run and update its
+        slowest span per side.  An in-order slice extends the run; an
+        out-of-order one re-sorts only the run past the first new span's
+        place, so a late batch costs its overlap, not a sort key per
+        stored span."""
+        slowest = self._slowest
+        maxima = slowest.get(key)
+        if maxima is None:
+            maxima = slowest[key] = {}
+        for span in spans:
             side = span.side
-            duration = span.end_time - entry[0]
+            duration = span.end_time - span.start_time
             best = maxima.get(side)
-            # Ties go to the earlier entry, as ``max`` over the run would.
+            # Ties go to the earlier span, as ``max`` over the run would.
             if (best is None or duration > best[0]
-                    or duration == best[0] and entry < best[1]):
-                maxima[side] = (duration, entry)
+                    or duration == best[0]
+                    and CANONICAL_ORDER(span) < CANONICAL_ORDER(best[1])):
+                maxima[side] = (duration, span)
         segments = self._segments
         run = segments.get(key)
         if run is not None:
-            in_order = run[-1] <= entries[0]
-            run.extend(entries)
-            if not in_order:
-                run.sort()
+            first = CANONICAL_ORDER(spans[0])
+            if CANONICAL_ORDER(run[-1]) < first:
+                run.extend(spans)
+                return
+            at = bisect.bisect_left(run, first, key=CANONICAL_ORDER)
+            overlap = run[at:]
+            overlap += spans
+            overlap.sort(key=CANONICAL_ORDER)
+            run[at:] = overlap
             return
         out_of_order = bool(segments) and key < next(reversed(segments))
-        segments[key] = entries
+        segments[key] = spans
         if out_of_order:  # a late window opened: restore key order
             self._segments = dict(sorted(segments.items()))
 
@@ -298,14 +310,18 @@ class SpanStore:
 
     def _expire(self, floor: float, batch: list[Span]) -> list[Span]:
         """Drop every segment whose key is below *floor*, whole: its
-        rows, its posting entries and its time run.  The union-find has
-        no delete, so a fresh forest is then built from the survivors'
-        postings, each shared posting linked to its first carrier; the
-        event sink moves over afterwards, so a drop emits no component
-        events.  Runs at most once per window, when the newest segment
-        advances.  Returns the spans of *batch*, the one being stored,
-        that are still stored: a batch that crosses the horizon can drop
-        its own first spans."""
+        rows, its posting entries and its time run.  Each posting the
+        drop touches is rebuilt once from its surviving carriers, in
+        order — O(k) for a key carried by k spans, where removing the
+        dropped ids one by one would cost O(k²) — and goes back to a
+        bare id when one carrier is left.  The union-find has no delete,
+        so a fresh forest is then built from the survivors' postings,
+        each shared posting linked to its first carrier; the event sink
+        moves over afterwards, so a drop emits no component events.
+        Runs at most once per window, when the newest segment advances.
+        Returns the spans of *batch*, the one being stored, that are
+        still stored: a batch that crosses the horizon can drop its own
+        first spans."""
         self._commit_keys()
         self._commit_time_index()
         segments = self._segments
@@ -314,30 +330,36 @@ class SpanStore:
         postings = self._postings
         expired = [key for key in segments if key < floor]
         dropped = 0
+        # (tag, value) → axis of every shared posting the drop touches.
+        touched: dict[tuple[str, object], dict] = {}
         for key in expired:
             run = segments.pop(key)
             del slowest[key]
             dropped += len(run)
-            for _start, span_id, span in run:
-                del spans_map[span_id]
+            for span in run:
+                del spans_map[span.span_id]
                 for tag, value in association_keys(span):
                     axis = postings[tag]
-                    ids = axis[value]
-                    if ids.__class__ is int:
+                    if axis[value].__class__ is int:
                         del axis[value]
                     else:
-                        ids.discard(span_id)
-                        if len(ids) == 1:
-                            axis[value] = ids.pop()
+                        touched[tag, value] = axis
+        kept = spans_map.__contains__
+        for (_tag, value), axis in touched.items():
+            ids = axis[value]
+            ids[:] = filter(kept, ids)
+            if not ids:
+                del axis[value]
+            elif len(ids) == 1:
+                axis[value] = ids[0]
         self._oldest = min(segments, default=math.inf)
         links: list[tuple[int, int]] = []
         links_append = links.append
         for axis in postings.values():
             for ids in axis.values():
                 if ids.__class__ is not int:
-                    carriers = iter(ids)
-                    first = next(carriers)
-                    for span_id in carriers:
+                    first = ids[0]
+                    for span_id in ids[1:]:
                         links_append((span_id, first))
         graph = TraceGraphIndex()
         graph.link_batch(links)
@@ -406,7 +428,7 @@ class SpanStore:
             if ids.__class__ is int:
                 result.add(ids)
             else:
-                result |= ids
+                result.update(ids)
         return result
 
     def component_ids(self, span_id: int) -> set[int]:
@@ -445,16 +467,14 @@ class SpanStore:
         span_id) order, optionally filtered: the overlapping segments'
         slices, concatenated in segment order."""
         self._commit_time_index()
-        low = (start, -1)
-        high = (end, -1)
         spans: list[Span] = []
         for run in self._segments.values():
-            if run[-1][0] < start:
+            if run[-1].start_time < start:
                 continue
-            if run[0][0] >= end:
+            if run[0].start_time >= end:
                 break
-            spans += map(_SPAN, run[bisect.bisect_left(run, low):
-                                    bisect.bisect_left(run, high)])
+            spans += run[bisect.bisect_left(run, start, key=_START):
+                         bisect.bisect_left(run, end, key=_START)]
         if predicate is not None:
             spans = [span for span in spans if predicate(span)]
         return spans
@@ -466,23 +486,23 @@ class SpanStore:
         maximum of every segment the range covers, a scan of the slice
         of the (at most two) segments it covers in part."""
         self._commit_time_index()
-        low = (start, -1)
-        high = (end, -1)
         slowest = self._slowest
         best = None
         best_duration = -math.inf
         for key, run in self._segments.items():
-            if run[-1][0] < start:
+            first = run[0].start_time
+            last = run[-1].start_time
+            if last < start:
                 continue
-            if run[0][0] >= end:
+            if first >= end:
                 break
-            if low <= run[0] and run[-1] < high:
+            if start <= first and last < end:
                 kept = slowest[key].get(side)
                 if kept is not None and kept[0] > best_duration:
-                    best_duration, best = kept[0], kept[1][2]
+                    best_duration, best = kept
                 continue
-            for _start, _span_id, span in run[bisect.bisect_left(run, low):
-                                                bisect.bisect_left(run, high)]:
+            for span in run[bisect.bisect_left(run, start, key=_START):
+                            bisect.bisect_left(run, end, key=_START)]:
                 if span.side is side and span.duration > best_duration:
                     best_duration, best = span.duration, span
         return best

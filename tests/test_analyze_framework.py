@@ -684,6 +684,58 @@ def test_hot_path_flags_eager_defaults_and_keyword_builds_in_the_agent(
     assert any("deque()" in f.message for f in eager)
 
 
+def test_hot_path_flags_eager_display_defaults(tmp_path):
+    """A list, dict or set display as the default is built on every call
+    just as ``Ctor()`` is: the kernel's fd lookup, reached per syscall
+    from the generic ingress path, and the time commit's per-segment
+    maxima are findings; a constant tuple default and the
+    get-test-build form are not."""
+    root = _seed_tree(tmp_path, {
+        "kernel/kernel.py": '''
+            class Kernel:
+                def _sys_ingress(self, thread, abi, fd, max_bytes):
+                    sock = self.socket_for_fd(thread, fd)
+                    yield sock
+
+                def socket_for_fd(self, thread, fd):
+                    return self._fd_tables.get(thread.pid, {}).get(fd)
+            ''',
+        "server/database.py": '''
+            class SpanStore:
+                def slowest_span(self, side, start, end):
+                    self._commit_time_index()
+                    return self._slowest.get(0, ())
+
+                def _commit_time_index(self):
+                    self._extend_run(0, self._tail)
+                    self._extend_run(1, self._tail)
+
+                def _extend_run(self, key, spans):
+                    maxima = self._slowest.setdefault(key, {})
+                    seen = self._seen.get(key, [])
+                    sides = self._sides.setdefault(key, {spans[0].side})
+                    runs = self._segments
+                    run = runs.get(key)
+                    if run is None:
+                        run = runs[key] = []
+                    return maxima, seen, sides, run
+            ''',
+    })
+    report = _analyze(root, ["hot-path"])
+    found = sorted((f.function.rsplit(".", 1)[-1], f.rule, f.line)
+                   for f in report.findings)
+    assert [(name, rule) for name, rule, _line in found] == [
+        ("_extend_run", "hp-eager-default"),
+        ("_extend_run", "hp-eager-default"),
+        ("_extend_run", "hp-eager-default"),
+        ("socket_for_fd", "hp-eager-default"),
+    ], report.findings
+    messages = sorted(f.message.split(" builds")[0] for f in report.findings)
+    assert messages == [".get(key, [])", ".get(key, {})",
+                        ".setdefault(key, {spans[0].side})",
+                        ".setdefault(key, {})"], messages
+
+
 # ---------------------------------------------------------------------------
 # The repo itself and the CLI
 

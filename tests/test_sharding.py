@@ -502,6 +502,25 @@ class TestRetention:
         assert [s.span_id for s in store.span_list(0.0, 3.25)] == [30, 31,
                                                                    32]
 
+    def test_drop_rebuilds_a_widely_shared_posting(self):
+        """A constant X-Request-ID carried by every span: each drop keeps
+        the survivors of its one posting, and a posting left with one
+        carrier still links the next span that shares it."""
+        store = ShardedSpanStore(1, window=1.0)
+        for window in range(4):
+            store.insert_many([make_span(100 * window + i, xreq="same",
+                                         start=window + 0.01 * i)
+                               for i in range(50)])
+        survivors = {100 * w + i for w in (2, 3) for i in range(50)}
+        assert store.carriers([("xr", "same")]) == survivors
+        assert store.component_ids(300) == survivors
+        store.insert_many([make_span(1000, xreq="solo", start=4.5)])
+        store.insert_many([make_span(1001, xreq="same", start=5.6)])
+        assert store.carriers([("xr", "same")]) == {1001}
+        store.insert_many([make_span(1002, xreq="same", start=5.7)])
+        assert store.carriers([("xr", "same")]) == {1001, 1002}
+        assert store.component_ids(1002) == {1001, 1002}
+
     def test_late_span_is_skipped_and_counted(self):
         """A span older than the horizon on arrival never lands."""
         server = DeepFlowServer(shards=1, streaming=True)

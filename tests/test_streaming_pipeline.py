@@ -342,6 +342,23 @@ class TestLateLinks:
         assert counters["stream.late_links"] == 1
         assert {s.span_id for s in server.trace(2)} == {1, 2}
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_stragglers_of_a_retired_trace_form_one_fragment(self, shards):
+        """Two late spans sharing a retired trace's systrace id: the
+        second links to the key's newest carrier, the first straggler,
+        so both leave as one fragment and only one link is late."""
+        server = DeepFlowServer(shards=shards, streaming=True)
+        stream = server.streaming
+        server.ingest_spans([_span(1, 0.0, 0.5, systrace=7)], now=0.5)
+        stream.tick(2.0)
+        server.ingest_spans([_span(2, 2.0, 2.1, systrace=7),
+                             _span(3, 2.2, 2.3, systrace=7)], now=2.3)
+        stream.drain(5.0)
+        assert [sorted(s.span_id for s in record.trace)
+                for record in stream.finished] == [[1], [2, 3]]
+        assert stream.stats()["late_links"] == 1
+        assert {s.span_id for s in server.trace(3)} == {1, 2, 3}
+
 
 class TestRetentionUnderStreaming:
     @staticmethod

@@ -10,9 +10,9 @@ loop bodies only:
 
 * ``hp-alloc-in-loop`` (warn) — constructor calls (``list()``,
   ``dict()``, ``set()``, ``tuple()``, ``frozenset()``, ``sorted()``),
-  comprehensions, and f-strings.  Literal displays (``{a, b}``) are
-  allowed — the store's posting-promotion path allocates one set on the
-  rare first collision, which is the design, not waste.  Allocations
+  comprehensions, and f-strings.  Literal displays (``[a, b]``) are
+  allowed — the store's key commit allocates one list on a posting's
+  first collision, which is the design, not waste.  Allocations
   inside ``raise`` statements are error paths and exempt.
 * ``hp-attr-in-loop`` (warn) — a ``self``-rooted attribute chain of
   depth ≥ 2 (``self.a.b``), or the same ``self.x`` loaded twice in one
@@ -44,10 +44,12 @@ in field order).  They also seed the loop-body closure above.
 
 A fourth rule runs over the whole body of every function in the hot
 closure: ``hp-eager-default`` (warn) flags
-``mapping.setdefault(key, Ctor())`` and ``mapping.get(key, Ctor())`` —
-a default built on every call whether or not the key is present (the
-agent's session table built and threw away a deque and two ordered
-dicts per message for forty sockets).  Constants such as ``()`` are
+``mapping.setdefault(key, Ctor())`` and ``mapping.get(key, Ctor())``,
+and the same with a list, dict or set display (``{}``, ``[]``,
+``{a}``) as the default — a default built on every call whether or not
+the key is present (the agent's session table built and threw away a
+deque and two ordered dicts per message for forty sockets; the kernel's
+fd lookup an empty dict per syscall).  Constants such as ``()`` are
 fine; the fix is get, test for ``None``, build on the miss.
 
 Dynamic dispatch hides the agent's handler table from the call graph,
@@ -314,14 +316,16 @@ class HotPathChecker(Checker):
 
     def _check_eager_defaults(self, body: list[ast.stmt], path: str,
                               qualname: str) -> Iterator[Finding]:
-        """Flag ``.setdefault(key, Ctor())`` / ``.get(key, Ctor())``
-        anywhere in a hot body: the default is built on every call."""
+        """Flag ``.setdefault(key, Ctor())`` / ``.get(key, Ctor())``,
+        or a list, dict or set display as the default, anywhere in a hot
+        body: the default is built on every call."""
         for node in _walk_body(body):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("setdefault", "get")
                     and len(node.args) == 2
-                    and isinstance(node.args[1], ast.Call)):
+                    and isinstance(node.args[1],
+                                   (ast.Call, *ALLOC_DISPLAYS))):
                 yield Finding(
                     path=path, line=node.lineno, checker=self.name,
                     rule="hp-eager-default", severity="warn",
