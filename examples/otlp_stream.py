@@ -31,13 +31,14 @@ def main() -> None:
     cluster = builder.build()
     Network(sim, cluster)
 
-    # A validating exporter stands in for an OTLP/HTTP endpoint.
-    exporter = OtlpStreamExporter(validate=True)
+    # The exporter stands in for an OTLP/HTTP endpoint; it keeps every
+    # request body so the payloads can be checked below.
+    exporter = OtlpStreamExporter()
     server = DeepFlowServer()
     server.enable_streaming(exporter=exporter)
     # The continuous assembler sweeps on a sim heartbeat, so traces
     # finish while traffic is still flowing, not only at shutdown.
-    server.streaming.run(sim, interval=0.05)
+    server.streaming.run(sim)
 
     # Latency budgets alert the moment a violating span arrives.
     watchdog = AnomalyWatchdog(server)
@@ -82,10 +83,13 @@ def main() -> None:
     for record in records:
         reasons[record.reason] = reasons.get(record.reason, 0) + 1
     print(f"finish reasons: {reasons}")
+    for payload in exporter.trace_payloads:
+        decode_otlp_json(payload)            # raises on a schema error
+    print(f"payloads passing the OTLP schema check: "
+          f"{len(exporter.trace_payloads)} of {exporter.exported_traces}")
 
     print("\n--- one exported trace (OTLP/JSON excerpt) ---")
     payload = exporter.trace_payloads[0]     # compact OTLP/JSON text
-    decode_otlp_json(payload)        # schema-validates
     resource = json.loads(payload)["resourceSpans"][0]
     span = resource["scopeSpans"][0]["spans"][0]
     print(json.dumps({"resource": resource["resource"],

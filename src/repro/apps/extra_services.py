@@ -25,7 +25,6 @@ class KafkaService(Component):
         super().__init__(name, node, port, pod, **kwargs)
         self.op_time = op_time
         self.topics: dict[str, int] = {}  # topic -> message count
-        self.requests_served = 0
 
     def frame_length(self, buffer: bytes) -> Optional[int]:
         """Length of the size-prefixed frame at the front, once whole."""
@@ -42,7 +41,6 @@ class KafkaService(Component):
             return None
         if self.op_time:
             yield from worker.work(self.op_time)
-        self.requests_served += 1
         topic = parsed.resource
         if parsed.operation == "Produce":
             self.topics[topic] = self.topics.get(topic, 0) + 1

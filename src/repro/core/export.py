@@ -703,15 +703,12 @@ class OtlpStreamExporter:
 
     Stands in for an OTLP/HTTP push endpoint: the continuous assembler
     hands it every finished trace, and tests/benches read the request
-    bodies (OTLP/JSON text) back from ``trace_payloads``.
-    ``validate=True`` runs every payload through the schema decoder on
-    the way in (cheap insurance in tests; off by default for throughput
-    benches).
+    bodies (OTLP/JSON text) back from ``trace_payloads`` and check them
+    with :func:`decode_otlp_json` where they read them.
+    ``keep_payloads=False`` counts without keeping (throughput benches).
     """
 
-    def __init__(self, *, validate: bool = False,
-                 keep_payloads: bool = True) -> None:
-        self.validate = validate
+    def __init__(self, *, keep_payloads: bool = True) -> None:
         self.keep_payloads = keep_payloads
         self.trace_payloads: list[str] = []
         self.exported_traces = 0
@@ -720,8 +717,6 @@ class OtlpStreamExporter:
     def export_trace(self, trace: Trace) -> str:
         """Encode and record one finished trace; returns its text."""
         payload = trace_to_otlp_json(trace)
-        if self.validate:
-            decode_otlp_json(payload)
         if self.keep_payloads:
             self.trace_payloads.append(payload)
         self.exported_traces += 1

@@ -74,7 +74,6 @@ class ProtocolInferenceEngine:
         self._by_connection: dict[int, ProtocolSpec] = {}
         self._parse_cache: dict[tuple[str, bytes], object] = {}
         self.inference_attempts = 0
-        self.parse_cache_hits = 0
 
     def spec_for(self, socket_id: int) -> Optional[ProtocolSpec]:
         """The spec previously inferred for this connection, if any."""
@@ -106,7 +105,6 @@ class ProtocolInferenceEngine:
         cache_key = (spec.name, payload)
         parsed = self._parse_cache.get(cache_key, _MISS)
         if parsed is not _MISS:
-            self.parse_cache_hits += 1
             return parsed
         parsed = spec.parse(payload)
         if len(self._parse_cache) >= PARSE_CACHE_MAX:

@@ -39,7 +39,7 @@ class DeepFlowServer:
     DeepFlow's multi-cluster, multi-tenant deployment.
     """
 
-    def __init__(self, shards: int = 1, streaming: bool = False):
+    def __init__(self, shards: int = 1):
         self.pipeline_metrics = PipelineMetrics()
         self.store = ShardedSpanStore(shards, metrics=self.pipeline_metrics)
         self.tags = TagRegistry()
@@ -55,10 +55,8 @@ class DeepFlowServer:
             "server.ingest_batch_spans",
             bounds=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0),
             description="spans per ingest batch")
-        #: Push-path assembler; None until streaming is enabled.
+        #: Push-path assembler; None until :meth:`enable_streaming`.
         self.streaming: Optional[ContinuousAssembler] = None
-        if streaming:
-            self.enable_streaming()
 
     # -- agent registration ----------------------------------------------
 
@@ -89,8 +87,7 @@ class DeepFlowServer:
 
     # -- continuous pipeline ----------------------------------------------
 
-    def enable_streaming(self, *, exporter=None,
-                         **assembler_kwargs) -> ContinuousAssembler:
+    def enable_streaming(self, *, exporter=None) -> ContinuousAssembler:
         """Turn on the push path: arm the store's component-event sink
         and attach a :class:`ContinuousAssembler` fed by every later
         :meth:`ingest_spans` call.  Finished traces flow to *exporter*
@@ -103,7 +100,7 @@ class DeepFlowServer:
             exporter = OtlpStreamExporter()
         self.streaming = ContinuousAssembler(
             self.store, metrics=self.pipeline_metrics,
-            exporter=exporter, **assembler_kwargs)
+            exporter=exporter)
         return self.streaming
 
     def pipeline_stats(self) -> dict:

@@ -14,19 +14,18 @@ state per in-flight trace, driven by two signals —
   span *b*'s — or, if *b*'s already retired, counts a
   ``stream.late_links`` and leaves *a*'s to be exported without it.
 
-Live traces walk a sim-clock lifecycle::
+A live trace retires on the sim clock, checked by a sweep at most
+every :data:`SWEEP_INTERVAL`::
 
-    OPEN ──(idle ≥ quiescent_after)──> QUIESCENT ──(new span)──> OPEN
-      │                                    │
-      ├──(root complete, idle ≥ root_grace)┴──(idle ≥ finish_after)
-      ▼
-    FINISHED  →  build_trace → OTLP export
+    live ──(idle ≥ FINISH_AFTER,
+            or root complete and idle ≥ ROOT_GRACE)──> build_trace → export
 
 "Root complete" is the paper-shaped completion heuristic: the earliest
 span of a component is its root candidate, and once its interval
 encloses everything seen so far (``root.end_time >= max_end``) the
 request has returned to its entry point — only a short grace for
-trailing network spans is needed, not the full idle timeout.
+trailing network spans is needed, not the full idle timeout.  A span
+arriving for a live trace resets its idle time.
 
 Retirement is trace-atomic and memory-bounded: a finished trace's span
 states are evicted together, and :meth:`ContinuousAssembler.
@@ -52,15 +51,14 @@ __all__ = [
     "ContinuousAssembler",
     "FinishedTrace",
     "LiveTrace",
-    "OPEN",
-    "QUIESCENT",
-    "FINISHED",
 ]
 
-#: Live-trace lifecycle states.
-OPEN = "open"
-QUIESCENT = "quiescent"
-FINISHED = "finished"
+#: Sim seconds of idleness after which any live trace retires.
+FINISH_AFTER = 1.0
+#: Sim seconds of idleness after which a root-complete trace retires.
+ROOT_GRACE = 0.05
+#: Minimum sim seconds between two sweeps, and the heartbeat's period.
+SWEEP_INTERVAL = 0.05
 
 #: Finish reasons recorded on retirement.
 REASON_IDLE = "idle"
@@ -71,40 +69,28 @@ REASON_FORCED = "forced"
 class LiveTrace:
     """Mutable state of one in-flight trace component."""
 
-    __slots__ = ("key", "spans", "state", "first_start", "max_end",
-                 "root_span", "root_complete", "last_update",
-                 "opened_at", "finished_at", "finish_reason")
+    __slots__ = ("key", "spans", "max_end", "root_span", "root_complete",
+                 "last_update", "finish_reason", "assembly_lag")
 
     def __init__(self, span: Span, now: float) -> None:
         self.key = span.span_id       # stable handle: first member's id
         self.spans = [span]
-        self.state = OPEN
-        self.first_start = span.start_time
         self.max_end = span.end_time
         self.root_span = span
         self.root_complete = True     # a singleton encloses itself
         self.last_update = now
-        self.opened_at = now
-        self.finished_at = 0.0
         self.finish_reason = ""
-
-    def __len__(self) -> int:
-        return len(self.spans)
+        self.assembly_lag = 0.0
 
 
 class FinishedTrace:
     """One retired, parent-assembled, exported trace."""
 
-    __slots__ = ("trace", "key", "opened_at", "finished_at", "reason",
-                 "assembly_lag")
+    __slots__ = ("trace", "reason", "assembly_lag")
 
-    def __init__(self, trace: Trace, key: int, opened_at: float,
-                 finished_at: float, reason: str,
+    def __init__(self, trace: Trace, reason: str,
                  assembly_lag: float) -> None:
         self.trace = trace
-        self.key = key
-        self.opened_at = opened_at
-        self.finished_at = finished_at
         self.reason = reason
         #: sim seconds from the last span's arrival to retirement — the
         #: ingest-to-finished latency the streaming bench gates on.
@@ -124,21 +110,10 @@ class ContinuousAssembler:
 
     def __init__(self, store, *,
                  metrics: Optional[PipelineMetrics] = None,
-                 exporter=None,
-                 quiescent_after: float = 0.25,
-                 finish_after: float = 1.0,
-                 root_grace: float = 0.05,
-                 sweep_interval: float = 0.05) -> None:
-        if not 0 < root_grace <= quiescent_after <= finish_after:
-            raise ValueError("need 0 < root_grace <= quiescent_after "
-                             "<= finish_after")
+                 exporter=None) -> None:
         self.store = store
         store.arm_component_events()
         self.exporter = exporter
-        self.quiescent_after = quiescent_after
-        self.finish_after = finish_after
-        self.root_grace = root_grace
-        self.sweep_interval = sweep_interval
         #: span id → its live trace (evicted on retirement).
         self._state_of: dict[int, LiveTrace] = {}
         #: live-trace key → live trace.
@@ -163,10 +138,6 @@ class ContinuousAssembler:
             "stream.merges", "live-trace merges from link events")
         self._m_finished = metrics.counter(
             "stream.finished", "traces retired and assembled")
-        self._m_reopened = metrics.counter(
-            "stream.reopened", "quiescent traces reopened by a span")
-        self._m_quiesced = metrics.counter(
-            "stream.quiesced", "open traces idled into quiescence")
         self._m_late = metrics.counter(
             "stream.late_links", "link events into a retired trace")
         self._m_budget = metrics.counter(
@@ -194,7 +165,7 @@ class ContinuousAssembler:
 
         Opens a singleton live trace per new span, checks latency
         budgets, merges along the union-find's drained link events, and
-        periodically sweeps lifecycle transitions.  On the hot-seed
+        periodically sweeps for traces due to retire.  On the hot-seed
         closure: no per-span allocation beyond the LiveTrace itself.
         """
         state_of = self._state_of
@@ -232,7 +203,7 @@ class ContinuousAssembler:
         self._m_late.inc(late)
         if violations:
             self._m_budget.inc(violations)
-        if now - self._swept_at >= self.sweep_interval:
+        if now - self._swept_at >= SWEEP_INTERVAL:
             self._sweep(now)
         self._g_open.set(len(live))
 
@@ -245,47 +216,31 @@ class ContinuousAssembler:
         for span in loser.spans:
             state_of[span.span_id] = winner
         winner.spans.extend(loser.spans)
-        if loser.first_start < winner.first_start:
-            winner.first_start = loser.first_start
         if loser.max_end > winner.max_end:
             winner.max_end = loser.max_end
         if loser.last_update > winner.last_update:
             winner.last_update = loser.last_update
-        if loser.opened_at < winner.opened_at:
-            winner.opened_at = loser.opened_at
         lr = loser.root_span
         wr = winner.root_span
         if (lr.start_time, lr.span_id) < (wr.start_time, wr.span_id):
             winner.root_span = lr
             wr = lr
         winner.root_complete = wr.end_time >= winner.max_end
-        if winner.state == QUIESCENT or loser.state == QUIESCENT:
-            winner.state = OPEN
-            self._m_reopened.inc()
         del self._live[loser.key]
         self._m_merges.inc()
 
     def _sweep(self, now: float) -> None:
-        """Apply idle-timeout lifecycle transitions at sim time *now*."""
+        """Retire every live trace idle long enough at sim time *now*."""
         self._swept_at = now
         due = self._due
-        finish_after = self.finish_after
-        quiescent_after = self.quiescent_after
-        root_grace = self.root_grace
-        quiesced = 0
         for trace in self._live.values():
             idle = now - trace.last_update
-            if idle >= finish_after:
+            if idle >= FINISH_AFTER:
                 trace.finish_reason = REASON_IDLE
                 due.append(trace)
-            elif trace.root_complete and idle >= root_grace:
+            elif trace.root_complete and idle >= ROOT_GRACE:
                 trace.finish_reason = REASON_ROOT_COMPLETE
                 due.append(trace)
-            elif idle >= quiescent_after and trace.state == OPEN:
-                trace.state = QUIESCENT
-                quiesced += 1
-        if quiesced:
-            self._m_quiesced.inc(quiesced)
         for trace in due:
             self._retire(trace, now)
         due.clear()
@@ -296,16 +251,15 @@ class ContinuousAssembler:
         for span in trace.spans:
             del state_of[span.span_id]
         del self._live[trace.key]
-        trace.state = FINISHED
-        trace.finished_at = now
+        trace.assembly_lag = lag = now - trace.last_update
         self._pending.append(trace)
         self._m_finished.inc()
-        self._h_lag.observe(now - trace.last_update)
+        self._h_lag.observe(lag)
 
     # -- cold path ----------------------------------------------------------
 
     def tick(self, now: float) -> list[FinishedTrace]:
-        """Advance lifecycles to sim time *now* with no new spans, then
+        """Sweep at sim time *now* with no new spans, then
         assemble whatever retired.  The idle heartbeat (e.g. from
         :meth:`run`) that finishes traces after load stops."""
         self._sweep(now)
@@ -333,22 +287,21 @@ class ContinuousAssembler:
         out: list[FinishedTrace] = []
         for live in pending:
             trace = build_trace(live.spans)
-            record = FinishedTrace(
-                trace=trace, key=live.key, opened_at=live.opened_at,
-                finished_at=live.finished_at, reason=live.finish_reason,
-                assembly_lag=live.finished_at - live.last_update)
+            record = FinishedTrace(trace, live.finish_reason,
+                                   live.assembly_lag)
             if exporter is not None:
                 exporter.export_trace(trace)
             out.append(record)
         self.finished.extend(out)
         return out
 
-    def run(self, sim, interval: float = 0.05):
-        """Spawn a sweep/finalize heartbeat process on *sim*."""
+    def run(self, sim):
+        """Spawn a heartbeat process on *sim* that ticks every
+        :data:`SWEEP_INTERVAL`."""
         def loop():
             """Background heartbeat body."""
             while True:
-                yield interval
+                yield SWEEP_INTERVAL
                 self.tick(sim.now)
 
         return sim.spawn(loop(), name="continuous-assembler")
@@ -360,11 +313,8 @@ class ContinuousAssembler:
         return {
             "open_traces": len(self._live),
             "tracked_spans": len(self._state_of),
-            "pending_finalize": len(self._pending),
             "finished": self._m_finished.value,
             "merges": self._m_merges.value,
-            "reopened": self._m_reopened.value,
-            "quiesced": self._m_quiesced.value,
             "late_links": self._m_late.value,
             "budget_violations": self._m_budget.value,
             "spans_seen": self._m_spans.value,

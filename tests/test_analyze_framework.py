@@ -383,9 +383,10 @@ def test_hot_path_guard_flags_fstring_and_call(tmp_path):
 
 def test_hot_path_covers_the_otlp_encoder_and_enrichment(tmp_path):
     """The write-path seeds: what the two-pass encoder did per
-    attribute (an f-string per tag, one sort per span) and what
-    enrichment did per span (a decoded dict rebuilt each time) are
-    findings now; the one-pass shapes that replaced them are not."""
+    attribute (an f-string per tag, one sort per span), reached from
+    the exporter's ``export_trace``, and what enrichment did per span
+    (a decoded dict rebuilt each time) are findings now; the one-pass
+    shapes that replaced them are not."""
     root = _seed_tree(tmp_path, {
         "core/export.py": '''
             def _attrs(span):
@@ -408,6 +409,11 @@ def test_hot_path_covers_the_otlp_encoder_and_enrichment(tmp_path):
                     spans.append(sorted(_attrs(span)))
                     spans.append(_ordered(span, order))
                 return spans
+
+
+            class OtlpStreamExporter:
+                def export_trace(self, trace):
+                    return trace_to_otlp_json(trace, self.order)
             ''',
         "server/server.py": '''
             class DeepFlowServer:

@@ -485,7 +485,7 @@ def stream_digest(payloads) -> str:
 def _stream(sim, cluster, generator, shards=1):
     """Run *generator* under polling agents and the push path; the
     exporter's payloads in export order."""
-    exporter = OtlpStreamExporter(validate=True)
+    exporter = OtlpStreamExporter()
     server = DeepFlowServer(shards=shards)
     server.enable_streaming(exporter=exporter)
     agents = []
@@ -501,6 +501,8 @@ def _stream(sim, cluster, generator, shards=1):
         agent.flush()
     server.streaming.drain(sim.now + 10.0)
     assert exporter.exported_spans == server.ingested_spans
+    for payload in exporter.trace_payloads:
+        decode_otlp_json(payload)
     return exporter.trace_payloads
 
 

@@ -450,7 +450,8 @@ class TestOneStore:
         """A batch whose every span repeats a stored id is stored,
         counted as ingested and pushed not at all — only counted as
         duplicates; in a mixed batch, the rest goes through normally."""
-        server = DeepFlowServer(shards=shards, streaming=True)
+        server = DeepFlowServer(shards=shards)
+        server.enable_streaming()
         server.ingest_spans([make_span(i, systrace=i) for i in range(4)],
                             now=1.01)
         stream = server.streaming
@@ -523,7 +524,8 @@ class TestRetention:
 
     def test_late_span_is_skipped_and_counted(self):
         """A span older than the horizon on arrival never lands."""
-        server = DeepFlowServer(shards=1, streaming=True)
+        server = DeepFlowServer(shards=1)
+        server.enable_streaming()
         server.ingest_spans([make_span(1, systrace=1, start=130.0)],
                             now=130.1)
         late = make_span(2, systrace=1, start=10.0)
@@ -589,7 +591,8 @@ class TestRetention:
         assert store.insert_many(spans) == spans[2:]
         assert store.shard_stats()["spans_dropped"] == 2
         assert store.component_ids(3) == {2, 3}
-        server = DeepFlowServer(shards=1, streaming=True)
+        server = DeepFlowServer(shards=1)
+        server.enable_streaming()
         server.ingest_spans([make_span(10 + i, systrace=2, start=60.0 * i)
                              for i in range(4)], now=200.0)
         assert server.ingested_spans == len(server.store) == 2
@@ -601,7 +604,8 @@ class TestRetention:
         twice stores and exports each span once, and the duplicate
         counter reads the batch size."""
         sim = Simulator()
-        server = DeepFlowServer(streaming=True)
+        server = DeepFlowServer()
+        server.enable_streaming()
         agent = server.new_agent(Kernel(sim, "n1"))
         batch = [make_span(i, systrace=i // 3, start=0.1 * i)
                  for i in range(9)]

@@ -1,7 +1,8 @@
 """Push-path (continuous) trace assembly, lifecycle, and self-metrics.
 
 Covers the component-event plumbing (store union-find → assembler),
-the live-trace lifecycle state machine, equality with the pull path on
+the live-trace retirement rule (idle timeout, root complete after a
+grace, across ingest batches), equality with the pull path on
 a sharded store, the watchdog's arrival-time latency budgets with
 cooldown dedup, and the pipeline_stats()/OTLP-metrics surface.
 """
@@ -20,12 +21,11 @@ from repro.server.database import SpanStore
 from repro.server.server import DeepFlowServer
 from repro.server.sharding import ShardedSpanStore
 from repro.server.streaming import (
-    FINISHED,
-    OPEN,
-    QUIESCENT,
+    FINISH_AFTER,
     REASON_FORCED,
     REASON_IDLE,
     REASON_ROOT_COMPLETE,
+    ROOT_GRACE,
     ContinuousAssembler,
 )
 from repro.sim.engine import Simulator
@@ -75,14 +75,18 @@ class TestComponentEvents:
 
 
 class TestLifecycle:
+    @staticmethod
+    def _push(assembler, store, spans, now):
+        store.insert_many(spans)
+        assembler.on_spans(spans, now)
+
     def _open_pair(self, assembler, store, now, *, root_complete):
         """Two linked spans; root span encloses the other iff
         *root_complete*."""
         root_end = 1.0 if root_complete else 0.5
         spans = [_span(1, 0.0, root_end, systrace=3),
                  _span(2, 0.1, 0.9, systrace=3)]
-        store.insert_many(spans)
-        assembler.on_spans(spans, now)
+        self._push(assembler, store, spans, now)
         return spans
 
     def test_idle_timeout_finishes_incomplete_trace(self):
@@ -90,7 +94,7 @@ class TestLifecycle:
         assembler = ContinuousAssembler(store)
         self._open_pair(assembler, store, 1.0, root_complete=False)
         assert assembler.stats()["open_traces"] == 1
-        records = assembler.tick(1.5)       # idle 0.5 < finish_after 1.0
+        records = assembler.tick(1.5)       # idle 0.5 < FINISH_AFTER 1.0
         assert records == []
         records = assembler.tick(2.0)       # idle 1.0 hits the timeout
         assert len(records) == 1
@@ -102,26 +106,41 @@ class TestLifecycle:
         store = SpanStore()
         assembler = ContinuousAssembler(store)
         self._open_pair(assembler, store, 1.0, root_complete=True)
-        records = assembler.tick(1.06)      # idle 0.06 >= root_grace
+        records = assembler.tick(1.06)      # idle 0.06 >= ROOT_GRACE
         assert len(records) == 1
         assert records[0].reason == REASON_ROOT_COMPLETE
         assert records[0].assembly_lag == pytest.approx(0.06)
 
-    def test_quiescent_then_reopened_by_late_span(self):
+    def test_child_in_a_later_batch_undoes_root_complete(self):
+        """A root-complete singleton joined later by a child that ends
+        after it is no longer root complete: it outlives ROOT_GRACE and
+        retires on the idle timeout."""
         store = SpanStore()
         assembler = ContinuousAssembler(store)
-        self._open_pair(assembler, store, 1.0, root_complete=False)
-        assembler.tick(1.3)                 # idle 0.3 >= quiescent 0.25
-        stats = assembler.stats()
-        assert stats["quiesced"] == 1
-        assert stats["open_traces"] == 1    # quiescent is still live
-        late = [_span(3, 0.2, 0.8, systrace=3)]
-        store.insert_many(late)
-        assembler.on_spans(late, 1.4)
-        stats = assembler.stats()
-        assert stats["reopened"] == 1
-        assert stats["open_traces"] == 1
-        assert stats["tracked_spans"] == 3
+        self._push(assembler, store, [_span(1, 0.0, 0.5, systrace=3)], 1.0)
+        self._push(assembler, store, [_span(2, 0.1, 0.9, systrace=3)], 1.5)
+        assert assembler.stats()["merges"] == 1
+        assert assembler.tick(1.5 + 2 * ROOT_GRACE) == []
+        assert assembler.stats()["open_traces"] == 1
+        records = assembler.tick(1.5 + FINISH_AFTER)
+        assert [record.reason for record in records] == [REASON_IDLE]
+        assert {span.span_id for span in records[0].trace} == {1, 2}
+
+    def test_enclosing_span_in_a_later_batch_becomes_the_root(self):
+        """An incomplete pair joined later by an earlier-starting span
+        that encloses both: that span is the root, so the trace retires
+        root complete after ROOT_GRACE."""
+        store = SpanStore()
+        assembler = ContinuousAssembler(store)
+        self._push(assembler, store, [_span(1, 0.1, 0.5, systrace=3),
+                                      _span(2, 0.2, 0.9, systrace=3)], 1.0)
+        self._push(assembler, store, [_span(3, 0.0, 1.0, systrace=3)], 1.5)
+        assert assembler.stats()["open_traces"] == 1
+        records = assembler.tick(1.5 + 2 * ROOT_GRACE)
+        assert [record.reason for record in records] == [
+            REASON_ROOT_COMPLETE]
+        assert {span.span_id for span in records[0].trace} == {1, 2, 3}
+        assert records[0].assembly_lag == pytest.approx(2 * ROOT_GRACE)
 
     def test_drain_forces_everything_out(self):
         store = SpanStore()
@@ -132,19 +151,11 @@ class TestLifecycle:
         assert assembler.stats()["open_traces"] == 0
         assert assembler.stats()["tracked_spans"] == 0
 
-    def test_lifecycle_constants_are_distinct(self):
-        assert len({OPEN, QUIESCENT, FINISHED}) == 3
-
-    def test_bad_timeout_ordering_rejected(self):
-        with pytest.raises(ValueError):
-            ContinuousAssembler(SpanStore(), root_grace=0.5,
-                                quiescent_after=0.2)
-
 
 class TestMergeAndParenting:
     def test_batch_chain_merges_into_one_trace(self):
         store = SpanStore()
-        exporter = OtlpStreamExporter(validate=True)
+        exporter = OtlpStreamExporter()
         assembler = ContinuousAssembler(store, exporter=exporter)
         spans = [_span(i, 0.01 * i, 0.01 * i + 0.3, systrace=5)
                  for i in range(1, 9)]
@@ -164,15 +175,13 @@ class TestMergeAndParenting:
 
     def test_merges_span_ingest_batches(self):
         store = SpanStore()
-        assembler = ContinuousAssembler(store, finish_after=100.0,
-                                        quiescent_after=50.0,
-                                        root_grace=50.0)
+        assembler = ContinuousAssembler(store)
         first = [_span(1, 0.0, 0.2, systrace=6)]
         second = [_span(2, 0.1, 0.3, systrace=6)]
         store.insert_many(first)
-        assembler.on_spans(first, 0.2)
+        assembler.on_spans(first, 0.0)
         store.insert_many(second)
-        assembler.on_spans(second, 0.3)
+        assembler.on_spans(second, 0.0)
         assert assembler.stats()["open_traces"] == 1
         records = assembler.drain(0.3)
         assert {s.span_id for s in records[0].trace} == {1, 2}
@@ -192,12 +201,11 @@ class TestShardedStreamingMatchesPullPath:
                                index * 1e-3 + 0.01,
                                systrace=group, xreq=xreq))
         server = DeepFlowServer(shards=4)
-        server.enable_streaming(finish_after=1000.0,
-                                quiescent_after=500.0,
-                                root_grace=500.0)
+        server.enable_streaming()
         for start in range(0, len(spans), 128):
-            batch = spans[start:start + 128]
-            server.ingest_spans(batch, now=batch[-1].end_time)
+            # One sim instant for every batch: nothing goes idle, so
+            # every trace stays live until the drain.
+            server.ingest_spans(spans[start:start + 128], now=0.0)
         records = server.streaming.drain(spans[-1].end_time)
         assert records
         streamed = sum(len(record.trace) for record in records)
@@ -244,7 +252,8 @@ class TestPullEqualsPushOnAChainTape:
                                                                shards):
         """A ``trace()`` while the trace is live must not leak query-time
         labels into what the push path later exports."""
-        server = DeepFlowServer(shards=shards, streaming=True)
+        server = DeepFlowServer(shards=shards)
+        server.enable_streaming()
         server.register_resource_tags("v", "10.0.0.1", {"version": "1.0"})
         spans = [_span(i, 0.01 * i, 0.3, systrace=4) for i in range(1, 5)]
         for span in spans:
@@ -262,7 +271,8 @@ class TestPullEqualsPushOnAChainTape:
 
 class TestWatchdogBudgets:
     def _server_with_watchdog(self, budget=0.01):
-        server = DeepFlowServer(streaming=True)
+        server = DeepFlowServer()
+        server.enable_streaming()
         watchdog = AnomalyWatchdog(server, cooldown=2.0)
         watchdog.watch_streaming(server.streaming, {"svc": budget})
         return server, watchdog
@@ -328,8 +338,8 @@ class TestLateLinks:
         """A span sharing a systrace id with a trace that already
         finished cannot join it: the push path exports it alone and
         counts the link, while the pull path returns both spans."""
-        server = DeepFlowServer(shards=shards, streaming=True)
-        stream = server.streaming
+        server = DeepFlowServer(shards=shards)
+        stream = server.enable_streaming()
         server.ingest_spans([_span(1, 0.0, 0.5, systrace=7)], now=0.5)
         stream.tick(2.0)
         assert stream.stats()["late_links"] == 0
@@ -347,8 +357,8 @@ class TestLateLinks:
         """Two late spans sharing a retired trace's systrace id: the
         second links to the key's newest carrier, the first straggler,
         so both leave as one fragment and only one link is late."""
-        server = DeepFlowServer(shards=shards, streaming=True)
-        stream = server.streaming
+        server = DeepFlowServer(shards=shards)
+        stream = server.enable_streaming()
         server.ingest_spans([_span(1, 0.0, 0.5, systrace=7)], now=0.5)
         stream.tick(2.0)
         server.ingest_spans([_span(2, 2.0, 2.1, systrace=7),
@@ -366,8 +376,8 @@ class TestRetentionUnderStreaming:
         """One 4-span trace every 20 sim-s for 300 s, each retired long
         before the next, then a straggler linking into a retired trace
         that is still stored."""
-        server = DeepFlowServer(shards=shards, streaming=True)
-        stream = server.streaming
+        server = DeepFlowServer(shards=shards)
+        stream = server.enable_streaming()
         for index in range(15):
             start = 20.0 * index
             server.ingest_spans(
@@ -394,7 +404,8 @@ class TestRetentionUnderStreaming:
 
 class TestPipelineStats:
     def test_stats_surface_every_stage(self):
-        server = DeepFlowServer(shards=2, streaming=True)
+        server = DeepFlowServer(shards=2)
+        server.enable_streaming()
         spans = [_span(i, 0.01 * i, 0.01 * i + 0.1, systrace=i // 2)
                  for i in range(1, 21)]
         server.ingest_spans(spans, now=0.5)
@@ -415,7 +426,8 @@ class TestPipelineStats:
         assert "imbalance" in stats["shards"]
 
     def test_metrics_export_round_trips(self):
-        server = DeepFlowServer(streaming=True)
+        server = DeepFlowServer()
+        server.enable_streaming()
         server.ingest_spans([_span(1, 0.0, 0.1)], now=0.1)
         payload = server.pipeline_metrics_otlp(now=1.0)
         summary = decode_otlp_metrics(payload)
@@ -424,8 +436,9 @@ class TestPipelineStats:
         assert summary["stream.finish_lag_s"]["kind"] == "histogram"
 
     def test_enable_streaming_is_idempotent(self):
-        server = DeepFlowServer(streaming=True)
-        assert server.enable_streaming() is server.streaming
+        server = DeepFlowServer()
+        assembler = server.enable_streaming()
+        assert server.enable_streaming() is assembler is server.streaming
 
 
 class TestHeartbeatProcess:
@@ -433,7 +446,7 @@ class TestHeartbeatProcess:
         sim = Simulator(seed=3)
         store = SpanStore()
         assembler = ContinuousAssembler(store)
-        assembler.run(sim, interval=0.1)
+        assembler.run(sim)
         spans = [_span(1, 0.0, 0.5, systrace=1),
                  _span(2, 0.1, 0.4, systrace=1)]
         store.insert_many(spans)
@@ -452,7 +465,7 @@ class TestEndToEndWorld:
         svc_pod = builder.add_pod(1, "svc")
         cluster = builder.build()
         Network(sim, cluster)
-        exporter = OtlpStreamExporter(validate=True)
+        exporter = OtlpStreamExporter()
         server = DeepFlowServer()
         server.enable_streaming(exporter=exporter)
         watchdog = AnomalyWatchdog(server)
@@ -480,6 +493,8 @@ class TestEndToEndWorld:
         for agent in agents:
             agent.flush()
         server.streaming.drain(sim.now + 10.0)
+        for payload in exporter.trace_payloads:
+            decode_otlp_json(payload)
         records = server.streaming.finished
         return server, exporter, watchdog, records, report
 

@@ -54,7 +54,7 @@ fine; the fix is get, test for ``None``, build on the miss.
 
 Dynamic dispatch hides the agent's handler table from the call graph,
 so the seed list names the handler methods explicitly; module-level
-entry points (the OTLP encoder) are seeded by qualified name.
+entry points (parent assignment) are seeded by qualified name.
 """
 
 from __future__ import annotations
@@ -108,21 +108,20 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     # trace() is the query entry: with no self-defined label registered
     # it copies nothing, and with one it copies only the labelled spans.
     "DeepFlowServer": ("_enrich", "trace"),
+    # The push path's export of every retired trace: its closure is the
+    # OTLP text encoder (``trace_to_otlp_json`` → ``_span_json`` per
+    # span → ``_key_order`` / ``_loose_key_order`` → ``_head``: fragments
+    # concatenated, no dict per attribute).  The schema decoder is not
+    # in it: payloads are checked where they are read, off this path.
+    "OtlpStreamExporter": ("export_trace",),
 }
 
 #: Module-level functions seeding the hot closure, by qualified name.
-#: The OTLP text encoder (``trace_to_otlp_json`` → ``_span_json`` per
-#: span → ``_key_order`` / ``_loose_key_order`` → ``_head``: fragments
-#: concatenated, no dict per attribute) is seeded here rather than
-#: through ``OtlpStreamExporter.export_trace``, whose closure also holds
-#: the schema decoder behind ``validate=True`` — error-message f-strings
-#: in loops, by design, and off in every throughput run.
 #: ``assign_parents`` is shared by the pull path (every ``trace()``) and
 #: the push path (every retired trace): its rules loop over the spans
 #: of one trace in canonical order, so a ``sorted()`` or comprehension
 #: per message group there taxes every query and every export.
 HOT_FUNCTION_SEEDS: tuple[str, ...] = (
-    "repro.core.export.trace_to_otlp_json",
     "repro.server.assembler.assign_parents",
 )
 
