@@ -98,7 +98,11 @@ class Span:
     #: message broker (beyond-paper extension; the paper lists message
     #: queues as future work).
     message_id: Optional[int] = None
-    # correlation payload (§3.4)
+    # correlation payload (§3.4).  Read-only once stored: a span that
+    # reached the server with only the agent's (vpc, ip) pair holds its
+    # endpoint's shared tag map (``types.MappingProxyType``, one per
+    # endpoint and tenant), so writing to it raises TypeError;
+    # ``dict(span.tags)`` is a mutable copy.
     tags: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     # set by the trace assembler

@@ -1,8 +1,9 @@
 """The span store: one id map, one posting map, one forest, time segments.
 
 The server's store is :class:`repro.server.sharding.ShardedSpanStore`,
-this class with a retention depth; filtering span lists by tenant is the
-server's job.
+this class with a retention depth.  The store never writes into a span:
+stamping tenant labels (ingest enrichment) and filtering span lists by
+them are the server's job.
 
 Every association key of Algorithm 1, as
 :func:`repro.server.index.association_keys` defines them, has a posting
@@ -117,7 +118,6 @@ class SpanStore:
     # -- ingest ------------------------------------------------------------
 
     def insert_many(self, spans: Iterable[Span],
-                    tenant: Optional[str] = None,
                     now: Optional[float] = None) -> Iterable[Span]:
         """Batch ingest: register each span and append it to the tail.
 
@@ -129,9 +129,9 @@ class SpanStore:
 
         A span whose id is already stored (an at-least-once re-ship) or
         whose segment is already past retention is skipped and counted;
-        the rest are stored.  A *tenant* that is not None is stamped into
-        each stored span's ``tags``.  Returns the stored spans: *spans*
-        itself when none was skipped or dropped.
+        the rest are stored; the store never writes into a span.
+        Returns the stored spans: *spans* itself when none was skipped
+        or dropped.
 
         Retention follows the newest segment stored, but a span that
         starts in a window after the ingest clock *now* is stored
@@ -165,8 +165,6 @@ class SpanStore:
                     continue
                 if segment < oldest:
                     oldest = segment
-            if tenant is not None:
-                span.tags.setdefault("tenant", tenant)
             spans_map[span_id] = span
             tail_append(span)
         self._newest = newest

@@ -127,24 +127,25 @@ class DeepFlowServer:
     def ingest_spans(self, spans: list[Span],
                      tenant: Optional[str] = None,
                      now: Optional[float] = None) -> None:
-        """Enrich and store a batch of spans from an agent.
+        """Store and enrich a batch of spans from an agent.
 
         The whole batch goes through :meth:`ShardedSpanStore.insert_many`,
         so the time runs are merged once per shipment and the union-find
         merges coalesce, instead of paying per-span index maintenance.
-        When *tenant* is given the store stamps the label into each
-        span's tags.  Re-shipped spans (an id already stored) and spans
-        past the retention horizon are skipped and counted by the store
+        Re-shipped spans (an id already stored) and spans past the
+        retention horizon are skipped and counted by the store
         (``store.duplicate_spans``, ``store.late_spans``); the rest of
-        the batch is stored, counted as ingested and pushed.
+        the batch is stored, enriched (:meth:`_enrich`, which stamps the
+        *tenant* label when one is given), counted as ingested and
+        pushed.
 
         With streaming enabled the accepted spans also push through the
         continuous assembler at sim time *now* (agents pass their
         clock; when absent, the batch's latest span end stands in).
         """
+        spans = self.store.insert_many(spans, now)
         for span in spans:
-            self._enrich(span)
-        spans = self.store.insert_many(spans, tenant, now)
+            self._enrich(span, tenant)
         self.ingested_spans += len(spans)
         self._m_ingested.inc(len(spans))
         self._m_batches.inc()
@@ -156,20 +157,34 @@ class DeepFlowServer:
             streaming.on_spans(spans, now)
             streaming.finalize_pending()
 
-    def _enrich(self, span: Span) -> None:
-        """Smart-encoding step ⑦: (vpc, ip) → resource tags in Int form.
+    def _enrich(self, span: Span, tenant: Optional[str]) -> None:
+        """Smart-encoding step ⑦: (vpc, ip) → resource tags, plus the
+        *tenant* label.
 
-        The store keeps the decoded dict for inspectability.  The Int
-        round-trip is still what produces it, once per endpoint per
-        registration (:meth:`TagRegistry.decoded_resource_tags`), so a
-        span costs one lookup and a copy of the entries into its own
-        ``tags``.
+        A span carrying exactly the agent's ``(vpc, ip)`` pair is handed
+        the endpoint's shared read-only map for *tenant*
+        (:meth:`TagRegistry.span_tags`: the Int round-trip runs once per
+        endpoint, tenant and registration), so a stored span keeps a
+        reference to the strings, not a copy of them.
+        Any other span (an ``error.kind``, third-party tags, an
+        unregistered endpoint) is enriched in place: the tenant-less
+        map's entries, then ``tenant`` if absent.
         """
         tags = span.tags
         vpc = tags.get("vpc")
         ip = tags.get("ip")
         if vpc is not None and ip is not None:
-            tags.update(self.tags.decoded_resource_tags(vpc, ip))
+            if len(tags) == 2:
+                shared = self.tags.span_tags(vpc, ip, tenant)
+                if shared is not None:
+                    span.tags = shared
+                    return
+            else:
+                resource = self.tags.span_tags(vpc, ip)
+                if resource is not None:
+                    tags.update(resource)
+        if tenant is not None:
+            tags.setdefault("tenant", tenant)
 
     def ingest_otel_span(self, span: Span,
                          now: Optional[float] = None) -> None:

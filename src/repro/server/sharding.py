@@ -21,8 +21,8 @@ seconds.  A span that arrives already past that horizon, or whose id is
 already stored, is skipped and counted; one that starts after the
 ingest clock's window is stored but advances no horizon.
 
-Tenants are a label stamped into ``span.tags`` at insert and filtered on
-by the server; they never partition anything.
+Tenants are a label the server's ingest enrichment puts in ``span.tags``
+and its span lists filter on; they never partition anything.
 """
 
 from __future__ import annotations

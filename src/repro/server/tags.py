@@ -10,7 +10,8 @@ back in at query time (⑧).
 
 from __future__ import annotations
 
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 
 class StringInterner:
@@ -53,10 +54,11 @@ class TagRegistry:
         # Pre-encoded Int form of the resource tags (Figure 8 step ⑦).
         self._resource_encoded: dict[tuple[str, str],
                                      dict[int, int]] = {}
-        # The Int form decoded back to strings, per registered endpoint:
-        # filled by decoded_resource_tags, dropped by register.
-        self._resource_decoded: dict[tuple[str, str],
-                                     dict[str, str]] = {}
+        # (vpc, ip) → tenant → the read-only tag map every span of that
+        # endpoint and tenant shares: filled by span_tags, dropped by
+        # register.
+        self._span_tags: dict[tuple[str, str],
+                              dict[Optional[str], Mapping[str, str]]] = {}
 
     @staticmethod
     def _split(tags: dict[str, str]) -> tuple[dict, dict]:
@@ -79,7 +81,7 @@ class TagRegistry:
         self._resource_encoded[key] = {
             self.keys.intern(tag_key): self.values.intern(tag_value)
             for tag_key, tag_value in self._resource[key].items()}
-        self._resource_decoded.pop(key, None)
+        self._span_tags.pop(key, None)
 
     def resource_tags(self, vpc: str, ip: str) -> dict[str, str]:
         """Registered resource tags for (vpc, ip)."""
@@ -89,22 +91,35 @@ class TagRegistry:
         """The pre-encoded Int form injected at storage time (step ⑦)."""
         return dict(self._resource_encoded.get((vpc, ip), {}))
 
-    def decoded_resource_tags(self, vpc: str, ip: str) -> dict[str, str]:
-        """What storage-time enrichment joins onto a span: the Int form
-        of step ⑦ run back through :meth:`decode`, memoized per
-        registered endpoint until its next :meth:`register`.
+    def span_tags(self, vpc: str, ip: str,
+                  tenant: Optional[str] = None
+                  ) -> Optional[Mapping[str, str]]:
+        """What storage-time enrichment gives a span of (vpc, ip): the
+        agent's pair, the Int form of step ⑦ run back through
+        :meth:`decode`, and ``tenant`` when *tenant* is given (a decoded
+        ``tenant`` tag wins).  None for an unregistered endpoint, which
+        is not memoized.
 
-        The result is the memo entry itself, shared by every caller —
-        copy out of it (``dict.update``), never mutate or keep it.
+        The result is one read-only map per endpoint and tenant, shared
+        by every span given it until the endpoint's next
+        :meth:`register`; spans stored earlier keep the map they hold.
         """
+        try:
+            return self._span_tags[vpc, ip][tenant]
+        except KeyError:
+            pass
         key = (vpc, ip)
-        decoded = self._resource_decoded.get(key)
-        if decoded is None:
-            encoded = self._resource_encoded.get(key)
-            if encoded is None:
-                return {}
-            decoded = self._resource_decoded[key] = self.decode(encoded)
-        return decoded
+        encoded = self._resource_encoded.get(key)
+        if encoded is None:
+            return None
+        tags = {"vpc": vpc, "ip": ip, **self.decode(encoded)}
+        if tenant is not None:
+            tags.setdefault("tenant", tenant)
+        by_tenant = self._span_tags.get(key)
+        if by_tenant is None:
+            by_tenant = self._span_tags[key] = {}
+        shared = by_tenant[tenant] = MappingProxyType(tags)
+        return shared
 
     def custom_tags(self, vpc: str, ip: str) -> dict[str, str]:
         """Self-defined labels, joined in at query time (step ⑧)."""
@@ -113,18 +128,14 @@ class TagRegistry:
     def custom_tag_table(self) -> dict[tuple[str, str], dict[str, str]]:
         """The live ``(vpc, ip)`` → self-defined labels table, empty
         until a custom tag is registered: what the query-time join reads
-        per span.  Shared, like :meth:`decoded_resource_tags` — copy out
-        of it (``dict.update``), never mutate or keep it."""
+        per span.  Copy out of it (``dict.update``), never mutate or
+        keep it."""
         return self._custom
 
     def decode(self, encoded: dict[int, int]) -> dict[str, str]:
         """Int-encoded tags back to strings."""
         return {self.keys.lookup(k): self.values.lookup(v)
                 for k, v in encoded.items()}
-
-    def endpoints(self) -> list[tuple[str, str]]:
-        """Every registered (vpc, ip) pair."""
-        return list(self._resource)
 
     def full_tags(self, vpc: str, ip: str) -> dict[str, str]:
         """Resource + custom tags, as delivered to the front end."""

@@ -311,7 +311,8 @@ def test_baseline_fingerprint_survives_line_shift(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Hot-path: the overload guards must stay allocation-free (whole body)
+# Hot-path: the overload guards and the per-span bodies must stay
+# allocation-free (whole body)
 
 
 def test_hot_path_flags_allocation_in_overload_guard(tmp_path):
@@ -426,9 +427,46 @@ def test_hot_path_covers_the_otlp_encoder_and_enrichment(tmp_path):
     found = sorted((f.function.rsplit(".", 1)[-1], f.rule)
                    for f in report.findings)
     assert found == [("_attrs", "hp-alloc-in-loop"),
+                     ("_enrich", "hp-alloc-in-guard"),
                      ("_enrich", "hp-alloc-in-loop"),
                      ("trace_to_otlp_json", "hp-rescan-in-loop")], \
         report.findings
+
+
+def test_hot_path_keeps_enrichment_allocation_free(tmp_path):
+    """Enrichment's whole body is allocation-free: a per-span rebuild
+    of the joined tags (``{**tags, **decoded}``) is an error, handing
+    the span the endpoint's memoized map or updating its own dict in
+    place is not."""
+    rebuild = '''
+        class DeepFlowServer:
+            def _enrich(self, span, tenant):
+                tags = span.tags
+                decoded = self.tags.span_tags(tags["vpc"], tags["ip"])
+                span.tags = {**tags, **decoded}
+        '''
+    shared = '''
+        class DeepFlowServer:
+            def _enrich(self, span, tenant):
+                tags = span.tags
+                vpc = tags.get("vpc")
+                ip = tags.get("ip")
+                if vpc is not None and ip is not None:
+                    if len(tags) == 2:
+                        span.tags = self.tags.span_tags(vpc, ip, tenant)
+                        return
+                    tags.update(self.tags.span_tags(vpc, ip))
+                if tenant is not None:
+                    tags.setdefault("tenant", tenant)
+        '''
+    root = _seed_tree(tmp_path / "rebuild", {"server/server.py": rebuild})
+    report = _analyze(root, ["hot-path"])
+    assert [(f.function.rsplit(".", 1)[-1], f.rule, f.severity)
+            for f in report.findings] == [
+        ("_enrich", "hp-alloc-in-guard", "error")], report.findings
+    root = _seed_tree(tmp_path / "shared", {"server/server.py": shared})
+    report = _analyze(root, ["hot-path"])
+    assert report.findings == [], [str(f) for f in report.findings]
 
 
 def test_hot_path_covers_the_pull_read_path(tmp_path):

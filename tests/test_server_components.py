@@ -1,5 +1,7 @@
 """Unit tests for the server: store, assembler, tags, encoders, metrics."""
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -349,22 +351,30 @@ class TestTagRegistry:
         e2 = registry.resource_tags_encoded("v", "ip2")
         assert e1 == e2  # same strings, same codes
 
-    def test_decoded_resource_tags_memo_is_dropped_by_register(self):
+    def test_span_tags_memo_is_dropped_by_register(self):
         registry = TagRegistry()
         registry.register("v", "ip", {"pod": "p1", "commit": "abc"})
-        first = registry.decoded_resource_tags("v", "ip")
-        assert first == {"pod": "p1"}  # custom labels stay out (step ⑧)
-        assert registry.decoded_resource_tags("v", "ip") is first
+        first = registry.span_tags("v", "ip")
+        # Custom labels stay out (step ⑧).
+        assert first == {"vpc": "v", "ip": "ip", "pod": "p1"}
+        assert registry.span_tags("v", "ip") is first
+        acme = registry.span_tags("v", "ip", "acme")
+        assert acme == {**first, "tenant": "acme"}
+        assert registry.span_tags("v", "ip", "acme") is acme
         registry.register("v", "ip", {"pod": "p2", "node": "n1"})
-        assert registry.decoded_resource_tags("v", "ip") == {
-            "pod": "p2", "node": "n1"}
-        assert first == {"pod": "p1"}
+        assert registry.span_tags("v", "ip") == {
+            "vpc": "v", "ip": "ip", "pod": "p2", "node": "n1"}
+        assert registry.span_tags("v", "ip", "acme") is not acme
+        assert first == {"vpc": "v", "ip": "ip", "pod": "p1"}
+        assert acme == {"vpc": "v", "ip": "ip", "pod": "p1",
+                        "tenant": "acme"}
 
     def test_unregistered_endpoints_are_not_memoized(self):
         registry = TagRegistry()
         for i in range(50):
-            assert registry.decoded_resource_tags("v", f"ip{i}") == {}
-        assert not registry._resource_decoded
+            assert registry.span_tags("v", f"ip{i}") is None
+            assert registry.span_tags("v", f"ip{i}", "acme") is None
+        assert not registry._span_tags
 
 
 class TestEnrichment:
@@ -389,20 +399,27 @@ class TestEnrichment:
         assert late.tags == {"vpc": "v", "ip": "10.0.0.1", "pod": "p2",
                              "az": "az-1"}
 
-    def test_span_tags_alias_neither_each_other_nor_the_registry(self):
+    def test_stored_span_tags_are_one_read_only_map(self):
+        """Spans of one endpoint share one read-only map: a write raises
+        and changes neither the other span nor the registry, and
+        ``dict(span.tags)`` is the mutable copy."""
         server = DeepFlowServer()
         server.register_resource_tags("v", "10.0.0.1", {"pod": "p1"})
         one, two = self._span(1), self._span(2)
         server.ingest_spans([one, two])
-        one.tags["pod"] = "mutated"
-        one.tags["extra"] = "x"
+        assert one.tags is two.tags
+        with pytest.raises(TypeError):
+            one.tags["pod"] = "mutated"
+        with pytest.raises(TypeError):
+            one.tags["extra"] = "x"
         assert two.tags == {"vpc": "v", "ip": "10.0.0.1", "pod": "p1"}
+        copy = dict(one.tags)
+        copy["pod"] = "mutated"
         three = self._span(3)
         server.ingest_spans([three])
-        assert three.tags == two.tags
+        assert three.tags is two.tags
+        assert three.tags["pod"] == "p1"
         assert server.tags.resource_tags("v", "10.0.0.1") == {"pod": "p1"}
-        assert server.tags.decoded_resource_tags("v", "10.0.0.1") == {
-            "pod": "p1"}
 
     def test_unknown_endpoint_and_untagged_span_pass_through(self):
         server = DeepFlowServer()
@@ -412,6 +429,84 @@ class TestEnrichment:
         server.ingest_spans([unknown, bare])
         assert unknown.tags == {"vpc": "v", "ip": "10.9.9.9"}
         assert bare.tags == {}
+
+
+#: Endpoints of the enrichment property; the last is never registered.
+_ENDPOINTS = (("v", "10.0.0.1"), ("v", "10.0.0.2"), ("w", "10.0.0.1"),
+              ("w", "10.0.0.9"))
+_TENANTS = (None, "acme", "globex")
+
+_register_ops = st.tuples(
+    st.just("register"), st.integers(0, len(_ENDPOINTS) - 2),
+    st.dictionaries(st.sampled_from(["pod", "node", "az", "tenant",
+                                     "version"]),
+                    st.sampled_from(["a", "b"]), max_size=3))
+_ingest_ops = st.tuples(
+    st.just("ingest"),
+    st.lists(st.tuples(st.integers(0, len(_ENDPOINTS) - 1),
+                       st.booleans(), st.booleans()),
+             min_size=1, max_size=6),
+    st.sampled_from(_TENANTS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(st.one_of(_register_ops, _ingest_ops), max_size=12))
+def test_enrichment_shares_one_map_per_endpoint_and_tenant(ops):
+    """Over interleaved registrations and ingests, every stored span's
+    tags read as the in-place join did (``{**own, **resource}``, then the
+    tenant unless present); a span carrying only the agent's pair holds
+    the one map of its endpoint, registration and tenant, any other span
+    its own dict; and the tenant filter of span lists is exact."""
+    server = DeepFlowServer()
+    resource: dict = {}  # the model: (vpc, ip) → resource tags
+    epoch: dict = {}     # (vpc, ip) → registrations so far
+    stored = []          # (span, own dict, expected tags, share key)
+    next_id = 1
+    for op in ops:
+        if op[0] == "register":
+            _kind, index, tags = op
+            endpoint = _ENDPOINTS[index]
+            server.register_resource_tags(*endpoint, tags)
+            resource.setdefault(endpoint, {}).update(
+                {key: value for key, value in tags.items()
+                 if key != "version"})
+            epoch[endpoint] = epoch.get(endpoint, 0) + 1
+            continue
+        _kind, specs, tenant = op
+        batch = []
+        for index, failed, labelled in specs:
+            vpc, ip = endpoint = _ENDPOINTS[index]
+            own = {"vpc": vpc, "ip": ip}
+            if failed:
+                own["error.kind"] = "timeout"
+            if labelled:
+                own["tenant"] = "own"
+            expected = {**own, **resource.get(endpoint, {})}
+            if tenant is not None:
+                expected.setdefault("tenant", tenant)
+            shared = len(own) == 2 and endpoint in epoch
+            key = (endpoint, epoch.get(endpoint), tenant) if shared else None
+            span = Span(span_id=next_id, kind=SpanKind.SYSCALL,
+                        side=SpanSide.SERVER, start_time=1.0 + next_id,
+                        end_time=1.5 + next_id, tags=own)
+            next_id += 1
+            batch.append(span)
+            stored.append((span, own, expected, key))
+        server.ingest_spans(batch, tenant=tenant)
+    maps: dict = {}
+    for span, own, expected, key in stored:
+        assert dict(span.tags) == expected
+        if key is None:
+            assert span.tags is own
+        else:
+            assert isinstance(span.tags, MappingProxyType)
+            assert maps.setdefault(key, span.tags) is span.tags
+    assert len({id(shared) for shared in maps.values()}) == len(maps)
+    for tenant in (*_TENANTS, "own"):
+        listed = server.span_list(0.0, float("inf"), tenant=tenant)
+        assert [s.span_id for s in listed] == [
+            span.span_id for span, _own, expected, _key in stored
+            if tenant is None or expected.get("tenant") == tenant]
 
 
 class TestQueryTimeJoin:

@@ -172,8 +172,8 @@ class TestComponentReadOut:
 @st.composite
 def labeled_batches(draw):
     """Spans on a coarse time grid (equal start times are the rule),
-    cut into batches that arrive in any order, each under a tenant
-    label or none."""
+    cut into batches that arrive in any order, each batch's spans
+    carrying one tenant label in their tags, or none."""
     count = draw(st.integers(min_value=1, max_value=40))
     ids = draw(st.permutations(range(count)))
     spans = [make_span(span_id,
@@ -184,9 +184,12 @@ def labeled_batches(draw):
     batches = []
     while spans:
         size = draw(st.integers(min_value=1, max_value=len(spans)))
-        batches.append((spans[:size],
-                        draw(st.sampled_from([None, "acme", "globex"]))))
-        spans = spans[size:]
+        batch, spans = spans[:size], spans[size:]
+        label = draw(st.sampled_from([None, "acme", "globex"]))
+        if label is not None:
+            for span in batch:
+                span.tags["tenant"] = label
+        batches.append(batch)
     return batches
 
 
@@ -207,11 +210,11 @@ class TestSpanListMerge:
         kept — whatever the depth, batch order, ties on start_time and
         filters."""
         segmented = ShardedSpanStore(shards, window=window)
-        for batch, label in batches:
-            segmented.insert_many(batch, tenant=label)
+        for batch in batches:
+            segmented.insert_many(batch)
             if query_between:  # commit time runs batch by batch
                 segmented.span_list(*bounds)
-        offered = [span for batch, _label in batches for span in batch]
+        offered = [span for batch in batches for span in batch]
         newest = max(span.start_time // window for span in offered)
         kept = [span for span in offered
                 if span.start_time // window >= newest - shards]
@@ -367,8 +370,8 @@ class TestBoundaryPhases:
 
 class TestTenancy:
     def test_tenant_label_stamped_and_filterable(self):
-        """The store stamps the label; the server's label filter is
-        the one tenant filter of span lists."""
+        """Ingest stamps the label; the server's label filter is the
+        one tenant filter of span lists."""
         for shards in (1, 4):
             server = DeepFlowServer(shards=shards)
             acme = [make_span(i, systrace=i, start=1.0) for i in range(10)]
@@ -386,21 +389,22 @@ class TestTenancy:
 
     def test_empty_tenant_is_stamped_but_does_not_salt(self):
         """A label, even the empty one, is stamped and moves nothing."""
-        plain = ShardedSpanStore(4, window=1.0)
-        labeled = ShardedSpanStore(4, window=1.0)
-        plain.insert_many([make_span(i, systrace=i, start=0.4 * i)
-                           for i in range(20)])
-        spans = [make_span(i, systrace=i, start=0.4 * i) for i in range(20)]
-        labeled.insert_many(spans, "")
+        plain = DeepFlowServer(shards=4)
+        labeled = DeepFlowServer(shards=4)
+        plain.ingest_spans([make_span(i, systrace=i, start=4.0 * i)
+                            for i in range(40)])
+        spans = [make_span(i, systrace=i, start=4.0 * i) for i in range(40)]
+        labeled.ingest_spans(spans, tenant="")
         assert all(s.tags["tenant"] == "" for s in spans)
-        assert labeled.shard_stats() == plain.shard_stats()
+        assert labeled.store.shard_stats() == plain.store.shard_stats()
+        assert labeled.store.shard_stats()["segments"] == [0, 1, 2]
 
     def test_search_tenant_filter(self):
         store = ShardedSpanStore(2)
-        a = make_span(1, systrace=9)
-        b = make_span(2, systrace=9)
-        store.insert_many([a], tenant="acme")
-        store.insert_many([b], tenant="globex")
+        a = make_span(1, systrace=9, tags={"tenant": "acme"})
+        b = make_span(2, systrace=9, tags={"tenant": "globex"})
+        store.insert_many([a])
+        store.insert_many([b])
         found = store.carriers(association_keys(a))
         assert found == {1, 2}
         assert {span_id for span_id in found
@@ -411,10 +415,10 @@ class TestTenancy:
         association key still form one component (the multi-cluster
         deployment shares the backbone)."""
         store = ShardedSpanStore(4)
-        a = make_span(1, xreq="shared")
-        b = make_span(2, xreq="shared")
-        store.insert_many([a], tenant="acme")
-        store.insert_many([b], tenant="globex")
+        a = make_span(1, xreq="shared", tags={"tenant": "acme"})
+        b = make_span(2, xreq="shared", tags={"tenant": "globex"})
+        store.insert_many([a])
+        store.insert_many([b])
         assert store.component_ids(1) == {1, 2}
 
 

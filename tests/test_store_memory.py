@@ -1,8 +1,11 @@
 """Bytes the span store keeps per stored span.
 
 The server is sized by how many spans it can keep (§3.4, Fig 14), so the
-store's own structures — id map, postings, forest, time runs — are
-gated per stored span.  The figure is an allocation count, not a
+store's own structures — id map, postings, forest, time runs — and what
+enrichment adds to a span are gated per stored span.  Enrichment adds
+nothing per span: every span of one endpoint and tenant holds the same
+read-only tag map, so its strings are kept once per endpoint (Fig 8
+step ⑦), not copied into each span.  The figure is an allocation count, not a
 timing: ``tracemalloc`` attributes each live block to the line that
 allocated it, so it is the same on any machine for one interpreter.
 
@@ -18,6 +21,7 @@ link batches freed are not counted as retained.
 
 import gc
 import tracemalloc
+from types import MappingProxyType
 
 import pytest
 
@@ -76,29 +80,47 @@ def retained():
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert len(server.store) == REQUESTS * SPANS_PER_REQUEST
+    spans = server.store.all_spans()
+    assert len(spans) == REQUESTS * SPANS_PER_REQUEST
     by_module: dict[str, int] = {}
     for stat in snapshot.statistics("filename"):
         path = stat.traceback[0].filename.replace("\\", "/")
         if "/repro/server/" in path:
             module = path.rsplit("/repro/", 1)[1]
             by_module[module] = by_module.get(module, 0) + stat.size
-    return len(server.store), by_module
+    return spans, by_module
 
 
-def test_server_modules_retain_at_most_760_bytes_per_span(retained):
+def test_server_modules_retain_at_most_530_bytes_per_span(retained):
     """Everything ``repro/server/`` allocates and keeps: the store, the
-    forest and the enrichment's per-span tag entries (927 B before the
-    postings became lists and the runs held spans, 681 after)."""
-    stored, by_module = retained
-    per_span = sum(by_module.values()) / stored
-    assert per_span <= 760, (per_span, by_module)
+    forest and the shared tag maps (927 B before the postings became
+    lists and the runs held spans, 681 after, 474 once enrichment
+    stopped copying the resource tags into each span)."""
+    spans, by_module = retained
+    per_span = sum(by_module.values()) / len(spans)
+    assert per_span <= 530, (per_span, by_module)
+
+
+def test_enrichment_retains_at_most_8_bytes_per_span(retained):
+    """``server/server.py`` keeps nothing per span (208 B when it copied
+    the endpoint's 6 decoded tags into every span's own dict), and the
+    stored spans hold one tag map per endpoint and tenant."""
+    spans, by_module = retained
+    per_span = by_module.get("server/server.py", 0) / len(spans)
+    assert per_span <= 8, (per_span, by_module)
+    maps: dict = {}
+    for span in spans:
+        tags = span.tags
+        if isinstance(tags, MappingProxyType):
+            key = (tags["vpc"], tags["ip"], tags.get("tenant"))
+            maps.setdefault(key, set()).add(id(tags))
+    assert maps and all(len(ids) == 1 for ids in maps.values()), maps
 
 
 def test_span_store_retains_at_most_300_bytes_per_span(retained):
     """``server/database.py`` alone: id map, postings and time runs
     (514 B with set postings and ``(start, id, span)`` run entries, 268
     with list postings and runs of spans)."""
-    stored, by_module = retained
-    per_span = by_module.get("server/database.py", 0) / stored
+    spans, by_module = retained
+    per_span = by_module.get("server/database.py", 0) / len(spans)
     assert per_span <= 300, (per_span, by_module)

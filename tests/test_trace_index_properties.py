@@ -199,14 +199,18 @@ def test_sharded_components_match_unsharded(spans, shards, window, cut,
     Spans start anywhere in [0, 10] s, so a sub-second window spreads
     even single-key traces over many segments and a shallow depth drops
     the oldest ones, mid-stream as well as at the end.  The first batch
-    goes in under a drawn tenant label (stamped tags); a drawn subset
+    carries a drawn tenant label in its tags, which the store keeps as
+    it is and partitions nothing by; a drawn subset
     of segments is sealed and the posting map merged before the rest
     arrives one span at a time, and mid-stream queries force the
     commits to interleave with later inserts and drops.
     """
     segmented = ShardedSpanStore(shards, window=window)
     cut = cut % len(spans)
-    stored = segmented.insert_many(spans[:cut], tenant=tenant)
+    if tenant is not None:
+        for span in spans[:cut]:
+            span.tags["tenant"] = tenant
+    stored = segmented.insert_many(spans[:cut])
     assert all(span.tags.get("tenant") == tenant for span in stored)
     for key in sealed:
         segmented.seal_shard(key)

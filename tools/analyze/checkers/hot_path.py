@@ -21,15 +21,17 @@ loop bodies only:
 * ``hp-rescan-in-loop`` (warn) — ``sorted(...)``, ``.sort()``,
   ``.index()``, or ``insort`` inside a loop: an O(n) pass per event.
 
-A second, stricter contract covers the overload guards
+A second, stricter contract covers the per-event and per-span guards
 (:data:`ALLOC_FREE_SEEDS`): the per-record sampler decision, the
 firing-time token-bucket check, and the per-poll tier check run on
-*every* kernel event precisely when the agent is already drowning, so
-their whole bodies — not just loop bodies — must be allocation-free.
-``hp-alloc-in-guard`` (error) flags constructor calls, comprehensions,
-f-strings, and list/set/dict literal displays anywhere inside them;
-the once-per-socket/once-per-transition slow paths they delegate to are
-deliberately not listed.
+*every* kernel event precisely when the agent is already drowning, and
+the store's insert, the server's enrichment and the self-metrics
+increments on every ingested span, so their whole bodies — not just
+loop bodies — must be allocation-free.  ``hp-alloc-in-guard`` (error)
+flags constructor calls, comprehensions, f-strings, and list/set/dict
+literal displays anywhere inside them; the once-per-socket,
+once-per-transition and once-per-endpoint slow paths they delegate to
+are deliberately not listed.
 
 A third contract covers the front half of the chain
 (:data:`PER_EVENT_SEEDS`): the engine's step, the process resume path,
@@ -103,8 +105,10 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     # per-span and per-link-event loops; parent assembly (which sorts)
     # is deliberately split into finalize_pending, off this closure.
     "ContinuousAssembler": ("on_spans",),
-    # Enrichment runs once per ingested span: one memo lookup and a
-    # dict.update, where it used to rebuild the decoded tag dict.
+    # Enrichment runs once per ingested span: one memo lookup that
+    # hands the span its endpoint's shared tag map (a dict.update for a
+    # span carrying tags of its own), where it used to rebuild the
+    # decoded tag dict.
     # trace() is the query entry: with no self-defined label registered
     # it copies nothing, and with one it copies only the labelled spans.
     "DeepFlowServer": ("_enrich", "trace"),
@@ -136,6 +140,11 @@ ALLOC_FREE_SEEDS: dict[str, tuple[str, ...]] = {
     # the whole body stays allocation-free (the segment drop it may
     # call, at most once per window, lives in the cold _expire helper).
     "SpanStore": ("insert_many",),
+    # Enrichment gives a span a tag map built once per endpoint, tenant
+    # and registration (TagRegistry.span_tags, the cold miss): a dict
+    # built here — a ``{**tags, **decoded}`` rebuild — is one per span
+    # the store keeps.
+    "DeepFlowServer": ("_enrich",),
     # Pipeline self-metrics increments are sprinkled through every
     # ingest stage (agent poll/ship, store ingest, server ingest,
     # continuous assembly), so an allocation creeping into one taxes
@@ -336,9 +345,10 @@ class HotPathChecker(Checker):
 
     def _check_guard(self, body: list[ast.stmt], path: str,
                      qualname: str) -> Iterator[Finding]:
-        """Flag ANY allocation in an overload-guard body — these run per
-        kernel event exactly when the agent is drowning, so even the
-        literal displays the loop rule tolerates are disallowed."""
+        """Flag ANY allocation in an allocation-free body — these run
+        per kernel event exactly when the agent is drowning, or per
+        ingested span, so even the literal displays the loop rule
+        tolerates are disallowed."""
         for node in _walk_body(body):
             kind = None
             if isinstance(node, ast.Call) \
@@ -358,10 +368,10 @@ class HotPathChecker(Checker):
                     path=path, line=node.lineno, checker=self.name,
                     rule="hp-alloc-in-guard", severity="error",
                     function=qualname,
-                    message=(f"{kind} inside an overload guard — this "
-                             f"body runs per kernel event under "
-                             f"overload and must stay allocation-free; "
-                             f"move it to the cold path"))
+                    message=(f"{kind} inside an allocation-free body — "
+                             f"it runs per kernel event under overload "
+                             f"or per ingested span; move it to the "
+                             f"cold path"))
 
     def _check_body(self, body: list[ast.stmt], path: str,
                     qualname: str,
