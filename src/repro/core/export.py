@@ -30,6 +30,8 @@ from collections import defaultdict
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
+from struct import error as _PackError, pack as _pack
+from types import MappingProxyType
 from typing import Any, Callable, Optional
 
 from repro.core.metrics import PipelineMetrics
@@ -217,7 +219,61 @@ def _loose_key_order(prefix: str, mapping: dict,
         mapping, key=lambda key: (f"{prefix}{key}", exported(mapping[key])))]
 
 
-def _span_json(span: Span, trace_hex: str) -> str:
+#: Entries of an exporter's block memo, cleared whole when full: ≈ 0.5 KB
+#: each, so ≈ 130 KB per exporter (a memory bound, not a tuned number).
+_BLOCK_MEMO_CAP = 256
+
+
+def _metric_text(order: Any, metrics: dict) -> str:
+    """The ``deepflow.metric.*`` KeyValues in *order*, comma-joined; the
+    non-finite dropped, the rest by ``repr`` as ``json`` writes them."""
+    return ",".join([head + repr(value) + _END for key, head in order
+                     if isfinite(value := float(metrics[key]))])
+
+
+def _metric_block(metrics: dict, blocks: dict) -> str:
+    """:func:`_metric_text`, memoized by the key tuple and the values'
+    float64 bits (``-0.0`` packs apart from ``0.0``, ``True`` as ``1.0``,
+    as they export); keys :func:`_key_order` refuses and values ``struct``
+    refuses (``str``, ``None``, an int past float range) skip the memo."""
+    keys = tuple(metrics)
+    order = _key_order("deepflow.metric.", keys)
+    if order is None:
+        return _metric_text(_loose_key_order("deepflow.metric.", metrics,
+                                             float), metrics)
+    try:
+        key = (keys, _pack("d" * len(keys), *metrics.values()))
+    except _PackError:
+        return _metric_text(order, metrics)
+    text = blocks.get(key)
+    if text is None:
+        if len(blocks) >= _BLOCK_MEMO_CAP:
+            blocks.clear()
+        text = blocks[key] = _metric_text(order, metrics)
+    return text
+
+
+def _tag_block(tags: Any, blocks: dict) -> str:
+    """The ``deepflow.tag.*`` KeyValues, comma-joined, values by ``str``;
+    memoized for a read-only map (an endpoint's shared map) by its id, the
+    entry holding the map so the id is not reused.  Contract: such a map
+    never changes underneath a span (``register()`` builds a new one)."""
+    shared = tags.__class__ is MappingProxyType
+    if shared:
+        entry = blocks.get(id(tags))
+        if entry is not None and entry[0] is tags:
+            return entry[1]
+    text = ",".join([head + _quote(str(tags[key])) + _END for key, head in (
+        _key_order("deepflow.tag.", tuple(tags))
+        or _loose_key_order("deepflow.tag.", tags, str))])
+    if shared:
+        if len(blocks) >= _BLOCK_MEMO_CAP:
+            blocks.clear()
+        blocks[id(tags)] = (tags, text)
+    return text
+
+
+def _span_json(span: Span, trace_hex: str, blocks: dict) -> str:
     """One span as OTLP/JSON text, attributes in ascending key order.
 
     The key space (:data:`SPAN_ATTRIBUTE_CONVENTIONS` and the
@@ -225,20 +281,16 @@ def _span_json(span: Span, trace_hex: str) -> str:
     ``deepflow.metric.*`` < ``deepflow.operation`` …
     ``deepflow.status_code`` < ``deepflow.tag.*`` < ``http.*`` <
     ``net.host.name`` < ``process.pid`` — so the statements below follow
-    it and only the two open-ended blocks consult :func:`_key_order`.
-    Int64 values are decimal strings; non-finite metrics are dropped and
-    the rest written as ``json`` writes an exact ``float``, by ``repr``.
+    it, and the two open-ended blocks come whole from the block memo
+    *blocks*.  Int64 values are decimal strings.
     """
     attrs: list[str] = []
     append = attrs.append
     metrics = span.metrics
     if metrics:
-        for key, head in (_key_order("deepflow.metric.", tuple(metrics))
-                          or _loose_key_order("deepflow.metric.", metrics,
-                                              float)):
-            value = float(metrics[key])
-            if isfinite(value):
-                append(head + repr(value) + _END)
+        block = _metric_block(metrics, blocks)
+        if block:
+            append(block)
     protocol = span.protocol
     operation = span.operation
     resource = span.resource
@@ -261,9 +313,7 @@ def _span_json(span: Span, trace_hex: str) -> str:
         append(_STATUS_CODE + str(int(status_code)) + _INT_END)
     tags = span.tags
     if tags:
-        for key, head in (_key_order("deepflow.tag.", tuple(tags))
-                          or _loose_key_order("deepflow.tag.", tags, str)):
-            append(head + _quote(str(tags[key])) + _END)
+        append(_tag_block(tags, blocks))
     if http_family:
         if operation:
             append(_HTTP_METHOD + _quote(str(operation)) + _END)
@@ -292,21 +342,26 @@ def _span_json(span: Span, trace_hex: str) -> str:
         ",".join(attrs), code, message)
 
 
+def _trace_json(trace: Trace, blocks: dict) -> str:
+    """:func:`trace_to_otlp_json` over the block memo *blocks*."""
+    roots = trace.roots()
+    trace_hex = "%032x" % ((roots[0].span_id if roots else 0) & _MASK_128)
+    groups: dict[str, list[str]] = defaultdict(list)
+    for span in trace:
+        groups[span.process_name or span.device_name or span.host
+               or "unknown"].append(_span_json(span, trace_hex, blocks))
+    return '{"resourceSpans":[%s]}' % ",".join([
+        _SERVICE % (_quote(service), ",".join(groups[service]))
+        for service in sorted(groups)])
+
+
 def trace_to_otlp_json(trace: Trace) -> str:
     """A whole trace as canonical OTLP/JSON ``resourceSpans`` text,
     grouped by service: byte for byte ``json.dumps(payload,
     separators=(",", ":"))`` of the payload tree, written in one pass
     from :class:`Span` without building it.  A consumer that wants the
     tree calls ``json.loads``."""
-    roots = trace.roots()
-    trace_hex = "%032x" % ((roots[0].span_id if roots else 0) & _MASK_128)
-    groups: dict[str, list[str]] = defaultdict(list)
-    for span in trace:
-        groups[span.process_name or span.device_name or span.host
-               or "unknown"].append(_span_json(span, trace_hex))
-    return '{"resourceSpans":[%s]}' % ",".join([
-        _SERVICE % (_quote(service), ",".join(groups[service]))
-        for service in sorted(groups)])
+    return _trace_json(trace, {})
 
 
 #: Decoded value type → (OTLP value field, canonical conversion).
@@ -713,10 +768,11 @@ class OtlpStreamExporter:
         self.trace_payloads: list[str] = []
         self.exported_traces = 0
         self.exported_spans = 0
+        self._blocks: dict = {}   # block memo: goes with the exporter
 
     def export_trace(self, trace: Trace) -> str:
         """Encode and record one finished trace; returns its text."""
-        payload = trace_to_otlp_json(trace)
+        payload = _trace_json(trace, self._blocks)
         if self.keep_payloads:
             self.trace_payloads.append(payload)
         self.exported_traces += 1

@@ -41,6 +41,8 @@ class SpanKind(enum.Enum):
     NETWORK = "cbpf"
     APP = "app"
 
+    __hash__ = object.__hash__  # identity, as equality is; at C speed
+
 
 class SpanSide(enum.Enum):
     """Vantage point of a span."""
@@ -48,6 +50,8 @@ class SpanSide(enum.Enum):
     CLIENT = "c"     # session whose request left via egress
     NETWORK = "net"  # observed mid-path at a device
     APP = "app"      # third-party application span
+
+    __hash__ = object.__hash__  # as SpanKind's
 
 
 @dataclass(slots=True)

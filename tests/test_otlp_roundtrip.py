@@ -28,6 +28,8 @@ decode loosely.
 import copy
 import hashlib
 import json
+import pickle
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,71 @@ def export_span(draw, loose_keys=False):
     )
 
 
+#: Tag values that compare equal yet export apart by ``str()``: a tag
+#: memo keyed by value would hand one the other's text.
+_LOOK_ALIKE_TAG_VALUES = [0, False, 0.0, -0.0, 1, True, 1.0, "1"]
+
+#: Metric keys and values whose exported text the block memo must not
+#: confuse, in look-alike groups.  ``(1,)``, ``(True,)`` and ``(1.0,)``
+#: are one tuple but export apart; ``0.0`` / ``-0.0`` are equal but
+#: export apart, ``1`` / ``True`` / ``1.0`` export alike; the non-finite
+#: values export nothing; ``str`` values (which ``float()`` parses)
+#: bypass the memo's packed key; ``2**53 + 1`` rounds to its neighbour.
+_BLOCK_METRIC_KEYS = [("rtt",), ("srt",), ("retrans",), (1, True, 1.0),
+                      (0, False)]
+_BLOCK_METRIC_VALUES = [(0.0, -0.0, 0), (1, True, 1.0),
+                        (float("nan"), float("inf"), float("-inf")),
+                        (2.5, "2.5", "-0.0"),
+                        ((1 << 53) + 1, float(1 << 53))]
+
+
+def _block_span(tags, metrics, error=False):
+    return Span(span_id=_ids.next_id(), kind=SpanKind.SYSCALL,
+                side=SpanSide.SERVER, start_time=1.0, end_time=2.0,
+                process_name="svc", status="error" if error else "ok",
+                tags=tags, metrics=metrics)
+
+
+@st.composite
+def shared_block_traces(draw):
+    """Trace shapes over a few shared read-only tag maps and a few
+    metric sets, as an exporter sees stored spans: ``(tag maps, the
+    re-registered content of map 0, metric sets, shapes, index of the
+    trace the re-registration lands before)``.  Two to four metric sets
+    draw each slot's key and value from one look-alike group, so blocks
+    that look equal meet.  A shape is one trace: ``(tag map index,
+    metric set index, is error)`` per span, where the index one past
+    the maps means a plain ``dict`` of map 0's content."""
+    look_alike = st.sampled_from(_LOOK_ALIKE_TAG_VALUES)
+    tag_values = st.one_of(look_alike, st.text(max_size=6), st.integers(),
+                           st.none())
+    tag_keys = st.sampled_from(["ip", "pod", "vpc", "a.b", "x-y"])
+    # Map 0 and its re-registered content are look-alikes: equal as
+    # values, often apart as text.
+    tag_maps = [draw(st.dictionaries(tag_keys, look_alike, min_size=1,
+                                     max_size=2)),
+                *draw(st.lists(st.dictionaries(tag_keys, tag_values,
+                                               min_size=1, max_size=4),
+                               max_size=2))]
+    reregistered = {key: draw(look_alike) for key in tag_maps[0]}
+    metric_sets = []
+    for width in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+        slots = [(draw(st.sampled_from(_BLOCK_METRIC_KEYS)),
+                  draw(st.sampled_from(_BLOCK_METRIC_VALUES)))
+                 for _slot in range(width)]
+        for _set in range(draw(st.integers(2, 4))):
+            metric_sets.append({draw(st.sampled_from(keys)):
+                                draw(st.sampled_from(values))
+                                for keys, values in slots})
+    span_shape = st.tuples(st.integers(0, len(tag_maps)),
+                           st.sampled_from(range(len(metric_sets))),
+                           st.booleans())
+    shapes = draw(st.lists(st.lists(span_shape, min_size=1, max_size=6),
+                           min_size=1, max_size=8))
+    return (tag_maps, reregistered, metric_sets, shapes,
+            draw(st.integers(0, len(shapes))))
+
+
 def _assembled_trace(spans):
     assign_parents(spans)
     return Trace(spans)
@@ -217,6 +284,86 @@ class TestRoundTripProperties:
 
 def _first_span(payload):
     return payload["resourceSpans"][0]["scopeSpans"][0]["spans"][0]
+
+
+class TestBlockMemo:
+    """An exporter encodes each repeated tag or metric block once and
+    keeps the text; every payload must still be the oracle's bytes."""
+
+    @given(blocks=shared_block_traces())
+    @settings(max_examples=150, deadline=None)
+    def test_exporter_memo_matches_two_pass_oracle(self, blocks):
+        tag_maps, reregistered, metric_sets, shapes, at = blocks
+        maps = [MappingProxyType(dict(tags)) for tags in tag_maps]
+        exporter = OtlpStreamExporter()
+        for index, shape in enumerate(shapes):
+            if index == at:
+                # The old map goes with its spans before the new one is
+                # built, so only a memo entry holding it keeps its id
+                # from being reused.
+                maps[0] = None
+                maps[0] = MappingProxyType(dict(reregistered))
+            trace = _assembled_trace([
+                _block_span(maps[tags] if tags < len(maps)
+                            else dict(maps[0]),
+                            dict(metric_sets[metrics]), error)
+                for tags, metrics, error in shape])
+            assert exporter.export_trace(trace) \
+                == compact(two_pass_trace_to_otlp_json(trace))
+            del trace
+
+    def test_blocks_that_look_alike_export_apart(self):
+        exporter = OtlpStreamExporter()
+        for metrics in ({"z": 0.0}, {"z": -0.0}, {1: 2.5}, {True: 2.5},
+                        {1.0: 2.5}, {"n": 1}, {"n": True}, {"n": "1"}):
+            trace = Trace([_block_span({}, metrics)])
+            assert exporter.export_trace(trace) \
+                == compact(two_pass_trace_to_otlp_json(trace))
+        held = [MappingProxyType({"v": value})
+                for value in _LOOK_ALIKE_TAG_VALUES]
+        for tags in held:
+            # Equal values, all alive at once: only the map's identity
+            # tells their texts apart.
+            trace = Trace([_block_span(tags, {})])
+            assert exporter.export_trace(trace) \
+                == compact(two_pass_trace_to_otlp_json(trace))
+        for value in range(20):
+            # Each map dies before the next is built: an entry that did
+            # not hold its map would hand the new one the old text.
+            trace = Trace([_block_span(MappingProxyType({"v": value}), {})])
+            assert exporter.export_trace(trace) \
+                == compact(two_pass_trace_to_otlp_json(trace))
+            del trace
+
+    def test_more_blocks_than_the_memo_holds(self):
+        from repro.core.export import _BLOCK_MEMO_CAP
+        maps = [MappingProxyType({"pod": f"p{i}", "ip": i})
+                for i in range(_BLOCK_MEMO_CAP)]
+        exporter = OtlpStreamExporter()
+        sizes = []
+        for _round in range(2):                # cleared entries refill
+            for first in range(0, len(maps), 8):
+                trace = Trace([
+                    _block_span(maps[i], {"rtt": i / 7, "zero": -0.0})
+                    for i in range(first, first + 8)])
+                assert exporter.export_trace(trace) \
+                    == compact(two_pass_trace_to_otlp_json(trace))
+                sizes.append(len(exporter._blocks))
+        assert max(sizes) == _BLOCK_MEMO_CAP
+        assert any(later < earlier
+                   for earlier, later in zip(sizes, sizes[1:]))
+
+    def test_span_enums_hash_by_identity(self):
+        """The encoder's tables are keyed by the member; an identity
+        hash keeps those lookups at C speed."""
+        for member in [*SpanKind, *SpanSide]:
+            assert type(member).__hash__ is object.__hash__
+            assert hash(member) == object.__hash__(member)
+        span = Span(span_id=1, kind=SpanKind.UPROBE, side=SpanSide.CLIENT,
+                    start_time=0.0, end_time=1.0)
+        for twin in (copy.copy(span), pickle.loads(pickle.dumps(span))):
+            assert twin.kind is SpanKind.UPROBE
+            assert twin.side is SpanSide.CLIENT
 
 
 class TestOnePassEncoder:

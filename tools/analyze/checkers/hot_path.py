@@ -113,10 +113,12 @@ HOT_SEEDS: dict[str, tuple[str, ...]] = {
     # it copies nothing, and with one it copies only the labelled spans.
     "DeepFlowServer": ("_enrich", "trace"),
     # The push path's export of every retired trace: its closure is the
-    # OTLP text encoder (``trace_to_otlp_json`` → ``_span_json`` per
-    # span → ``_key_order`` / ``_loose_key_order`` → ``_head``: fragments
-    # concatenated, no dict per attribute).  The schema decoder is not
-    # in it: payloads are checked where they are read, off this path.
+    # OTLP text encoder (``_trace_json`` → ``_span_json`` per span →
+    # ``_metric_block`` / ``_tag_block``, the exporter's block memo → on
+    # a miss ``_metric_text`` or the tag comprehension → ``_key_order`` /
+    # ``_loose_key_order`` → ``_head``: fragments concatenated, no dict
+    # per attribute).  The schema decoder is not in it: payloads are
+    # checked where they are read, off this path.
     "OtlpStreamExporter": ("export_trace",),
 }
 
